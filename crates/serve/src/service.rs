@@ -137,12 +137,21 @@ impl EngineChoice {
     }
 }
 
+/// Memo size (interned models plus one per memo) past which a worker
+/// drops all its allocation memos. Requests pick `(algo, P, μ)` and
+/// model seeds freely, so without a bound every model ever seen would
+/// stay resident. Steady mixed traffic keeps a working set of a few
+/// thousand models per worker, far below this.
+const MEMO_LIMIT: usize = 1 << 16;
+
 /// Per-worker state reused across requests: one [`AllocCache`] per
 /// distinct `(algo, P, μ)` triple seen by this worker, so repeated
 /// traffic against the same platform skips the local-allocation binary
 /// search for every model it has seen before. The algorithm is part of
 /// the key: the two registered algorithms make different decisions for
-/// the same model, so their memos must never be shared.
+/// the same model, so their memos must never be shared. The memos are
+/// dropped together once they grow past `MEMO_LIMIT`; allocation is a
+/// pure function of the model, so dropping them never changes a reply.
 #[derive(Debug)]
 pub struct WorkerContext {
     caches: HashMap<(AlgoName, u32, u64), AllocCache>,
@@ -397,6 +406,9 @@ impl WorkerContext {
                 };
                 if let Some(cache) = s.take_alloc_cache() {
                     self.caches.insert((algo, p, mu.to_bits()), cache);
+                    if self.interned_models() + self.cache_count() > MEMO_LIMIT {
+                        self.caches.clear();
+                    }
                 }
                 result.map_err(sim_err)
             }
@@ -817,6 +829,32 @@ mod tests {
         let _ = ctx.handle(&a);
         let _ = ctx.handle(&b);
         assert_eq!(ctx.cache_count(), 2);
+    }
+
+    #[test]
+    fn alloc_memos_stay_bounded_under_never_repeated_models() {
+        // Every request brings a new μ and a new seed, so nothing it
+        // interns is ever reused; 6 x 12k distinct models pass the
+        // limit once.
+        let mut ctx = WorkerContext::new();
+        let mut dropped = false;
+        let mut last = 0;
+        for i in 0..6u32 {
+            let mut req = named("independent", 12_000, 64, 500 + u64::from(i));
+            req.mu = Some(0.2 + 0.01 * f64::from(i));
+            let got = ctx.handle(&req);
+            assert_eq!(got.get("status").unwrap().as_str(), Some("ok"), "{got:?}");
+            assert_eq!(
+                got,
+                WorkerContext::new().handle(&req),
+                "memo state never changes a reply"
+            );
+            let size = ctx.interned_models() + ctx.cache_count();
+            assert!(size <= MEMO_LIMIT, "{size} memo entries held");
+            dropped |= size < last;
+            last = size;
+        }
+        assert!(dropped, "the limit was reached and the memos dropped");
     }
 
     #[test]

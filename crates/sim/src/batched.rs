@@ -1,12 +1,12 @@
 //! The data-oriented batched simulation engine.
 //!
-//! [`simulate_batched`] is a specialization of the general engine in
-//! [`crate::engine`] for the overwhelmingly common case: a *static*
-//! frozen [`TaskGraph`] driven by a scheduler that can accept releases
-//! in batches. It produces bit-identical [`Schedule`]s — same
-//! placement order, same start times, same makespan — while removing
-//! the per-event overheads that dominate the general path on
-//! million-task instances:
+//! [`simulate_batched`] is a specialization of the per-event engine,
+//! [`crate::Stepper`] (which [`crate::simulate`] runs), for the
+//! overwhelmingly common case: a *static* frozen [`TaskGraph`] driven
+//! by a scheduler that can accept releases in batches. It produces
+//! bit-identical [`Schedule`]s — same placement order, same start
+//! times, same makespan — while removing the per-event overheads that
+//! dominate the general path on million-task instances:
 //!
 //! * **Struct-of-arrays task state.** Status and indegree countdown
 //!   live in flat arrays indexed by the frozen graph's dense CSR task
@@ -26,16 +26,17 @@
 //!   virtual `release` per task. Same-instant starts are pushed back
 //!   into the heap in submission order.
 //!
-//! The general engine remains the executable reference; the
-//! differential suite in `tests/batched_engine_equivalence.rs` drives
-//! both over every generator shape and the paper's adversarial
-//! witnesses, demanding byte-equal schedules.
+//! [`crate::Stepper`] is the executable reference; the differential
+//! suite in `tests/batched_engine_equivalence.rs` drives both engines
+//! over every generator shape and the paper's adversarial witnesses,
+//! demanding byte-equal schedules.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use moldable_graph::{TaskGraph, TaskId};
 
+use crate::stepper::Completion;
 use crate::{Placement, ProcPool, Schedule, SimError, SimOptions};
 
 /// One task start chosen by a [`BatchScheduler`].
@@ -92,38 +93,6 @@ const AVAILABLE: u8 = 1;
 const RUNNING: u8 = 2;
 const DONE: u8 = 3;
 
-/// Completion event. `idx` is the placement index, which equals the
-/// start submission sequence (placements are pushed in submission
-/// order), so ordering by `(time, idx)` reproduces the general
-/// engine's `(time, seq)` tie-break exactly. Task and processor count
-/// ride along so retiring the event touches no other array.
-#[derive(Debug, Clone, Copy)]
-struct BatchEvent {
-    time: f64,
-    idx: u32,
-    task: TaskId,
-    procs: u32,
-}
-
-impl PartialEq for BatchEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.idx == other.idx
-    }
-}
-impl Eq for BatchEvent {}
-impl PartialOrd for BatchEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for BatchEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.idx.cmp(&other.idx))
-    }
-}
-
 /// Run a frozen [`TaskGraph`] to completion under a [`BatchScheduler`]
 /// on `opts.p_total` processors, using the data-oriented batched hot
 /// path. Observationally identical to [`crate::simulate`] driving the
@@ -157,7 +126,7 @@ pub fn simulate_batched<S: BatchScheduler + ?Sized>(
     let mut free = p_total;
     let mut pool = opts.record_proc_ids.then(|| ProcPool::new(p_total));
     let mut placements: Vec<Placement> = Vec::with_capacity(n);
-    let mut heap: BinaryHeap<Reverse<BatchEvent>> =
+    let mut heap: BinaryHeap<Reverse<Completion>> =
         BinaryHeap::with_capacity((p_total as usize).min(n.max(1)));
     let mut time = 0.0f64;
     let mut completed = 0usize;
@@ -166,7 +135,7 @@ pub fn simulate_batched<S: BatchScheduler + ?Sized>(
     // allocates nothing.
     let mut newly: Vec<TaskId> = graph.sources().to_vec();
     let mut starts: Vec<BatchStart> = Vec::new();
-    let mut batch: Vec<BatchEvent> = Vec::new();
+    let mut batch: Vec<Completion> = Vec::new();
 
     // Release the initial frontier (sources, in id order — exactly the
     // frozen Frontier's `initial`).
@@ -215,7 +184,7 @@ pub fn simulate_batched<S: BatchScheduler + ?Sized>(
                         proc_ranges,
                         released: s.released,
                     });
-                    heap.push(Reverse(BatchEvent {
+                    heap.push(Reverse(Completion {
                         time: time + s.dur,
                         idx,
                         task: s.task,
@@ -230,8 +199,7 @@ pub fn simulate_batched<S: BatchScheduler + ?Sized>(
     while let Some(&Reverse(head)) = heap.peek() {
         time = head.time;
         // Drain *all* completions at this instant as one batch — the
-        // heap pops them in (time, idx) order, the general engine's
-        // (time, seq) order.
+        // heap pops them in (time, idx) order, as in `Stepper`.
         batch.clear();
         while let Some(&Reverse(ev)) = heap.peek() {
             if ev.time != time {

@@ -1,13 +1,14 @@
-//! The discrete-event simulation engine.
+//! The engine's traits ([`Scheduler`], [`Instance`]), its
+//! options and errors, and the one-shot entry points [`simulate`] and
+//! [`simulate_instance`]. Both entry points run the event loop of
+//! [`Stepper`] to quiescence; it is the crate's only per-event loop.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 use moldable_graph::{Frontier, TaskGraph, TaskId};
 use moldable_model::SpeedupModel;
 
-use crate::{Placement, ProcPool, Schedule};
+use crate::{Schedule, Stepper};
 
 /// An online scheduling policy, driven by the engine.
 ///
@@ -103,6 +104,63 @@ pub trait Instance {
     fn arrivals(&mut self, time: f64) -> Vec<TaskId> {
         let _ = time;
         Vec::new()
+    }
+}
+
+/// Forwards every method, so a borrowed scheduler (`&mut dyn
+/// Scheduler` in [`simulate`]) keeps its own `select_into` rather than
+/// the allocating default.
+impl<T: Scheduler + ?Sized> Scheduler for &mut T {
+    fn init(&mut self, p_total: u32) {
+        (**self).init(p_total);
+    }
+
+    fn release(&mut self, task: TaskId, model: &SpeedupModel) {
+        (**self).release(task, model);
+    }
+
+    fn select(&mut self, now: f64, free: u32) -> Vec<(TaskId, u32)> {
+        (**self).select(now, free)
+    }
+
+    fn select_into(&mut self, now: f64, free: u32, out: &mut Vec<(TaskId, u32)>) {
+        (**self).select_into(now, free, out);
+    }
+}
+
+/// Forwards every method, so a borrowed instance keeps its own
+/// `on_complete_into`, size hint and timed arrivals.
+impl<T: Instance + ?Sized> Instance for &mut T {
+    fn initial(&mut self) -> Vec<TaskId> {
+        (**self).initial()
+    }
+
+    fn on_complete(&mut self, task: TaskId, time: f64) -> Vec<TaskId> {
+        (**self).on_complete(task, time)
+    }
+
+    fn on_complete_into(&mut self, task: TaskId, time: f64, out: &mut Vec<TaskId>) {
+        (**self).on_complete_into(task, time, out);
+    }
+
+    fn is_done(&self) -> bool {
+        (**self).is_done()
+    }
+
+    fn model(&self, task: TaskId) -> &SpeedupModel {
+        (**self).model(task)
+    }
+
+    fn size_hint(&self) -> usize {
+        (**self).size_hint()
+    }
+
+    fn next_arrival(&self) -> Option<f64> {
+        (**self).next_arrival()
+    }
+
+    fn arrivals(&mut self, time: f64) -> Vec<TaskId> {
+        (**self).arrivals(time)
     }
 }
 
@@ -204,8 +262,11 @@ pub enum SimError {
         /// Tasks completed so far.
         completed: usize,
     },
-    /// The instance reported completion while the engine still believes
-    /// tasks are outstanding (or vice versa).
+    /// The instance reports tasks outstanding but the engine has none
+    /// available, running or arriving (or the instance flipped back to
+    /// unfinished after quiescence). An instance that releases nothing
+    /// at time 0 and never reports done gets this error, not
+    /// [`SimError::Stuck`]: no scheduler could have made progress.
     InconsistentInstance,
 }
 
@@ -230,41 +291,8 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Available,
-    Running,
-    Done,
-}
-
-/// Completion event: ordered by time then submission sequence.
-struct Event {
-    time: f64,
-    seq: u64,
-    placement_idx: usize,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// Simulate a static task graph under `scheduler`. Convenience wrapper
-/// over [`simulate_instance`].
+/// Simulate a static task graph under `scheduler`: [`simulate_instance`]
+/// over a [`GraphInstance`], with the instance statically dispatched.
 ///
 /// # Errors
 ///
@@ -274,11 +302,12 @@ pub fn simulate(
     scheduler: &mut dyn Scheduler,
     opts: &SimOptions,
 ) -> Result<Schedule, SimError> {
-    simulate_instance(&mut GraphInstance::new(graph), scheduler, opts)
+    Stepper::new(GraphInstance::new(graph), scheduler, opts).finish()
 }
 
 /// Run an [`Instance`] (static or adaptive) to completion under
-/// `scheduler` on `opts.p_total` processors.
+/// `scheduler` on `opts.p_total` processors: a [`Stepper`] advanced to
+/// quiescence in one call.
 ///
 /// Task ids issued by the instance are expected to be small dense
 /// integers (they index internal vectors).
@@ -292,194 +321,7 @@ pub fn simulate_instance(
     scheduler: &mut dyn Scheduler,
     opts: &SimOptions,
 ) -> Result<Schedule, SimError> {
-    let p_total = opts.p_total;
-    scheduler.init(p_total);
-
-    // Pre-size per-task state from the instance's hint; `ensure` only
-    // grows (within reserved capacity for well-hinted instances).
-    let hint = instance.size_hint();
-    let mut status: Vec<Option<Status>> = Vec::with_capacity(hint);
-    let mut released_at: Vec<f64> = Vec::with_capacity(hint);
-    let ensure = |status: &mut Vec<Option<Status>>, released_at: &mut Vec<f64>, t: TaskId| {
-        let need = t.index() + 1;
-        if status.len() < need {
-            status.resize(need, None);
-            released_at.resize(need, 0.0);
-        }
-    };
-
-    let mut free = p_total;
-    let mut pool = opts.record_proc_ids.then(|| ProcPool::new(p_total));
-    let mut placements: Vec<Placement> = Vec::with_capacity(hint);
-    // At most one outstanding completion per busy processor.
-    let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::with_capacity(p_total as usize);
-    let mut seq: u64 = 0;
-    let mut time = 0.0f64;
-    let mut completed = 0usize;
-
-    // Release the initial frontier.
-    for t in instance.initial() {
-        ensure(&mut status, &mut released_at, t);
-        scheduler.release(t, instance.model(t));
-        status[t.index()] = Some(Status::Available);
-        released_at[t.index()] = 0.0;
-    }
-
-    // Scratch buffers reused across every decision point and
-    // completion: the steady-state loop allocates nothing.
-    let mut picks: Vec<(TaskId, u32)> = Vec::new();
-    let mut newly: Vec<TaskId> = Vec::new();
-
-    // Decision loop: ask the scheduler until it passes.
-    macro_rules! decide {
-        () => {
-            loop {
-                picks.clear();
-                scheduler.select_into(time, free, &mut picks);
-                if picks.is_empty() {
-                    break;
-                }
-                for (t, p) in picks.drain(..) {
-                    if t.index() >= status.len() || status[t.index()] != Some(Status::Available) {
-                        return Err(SimError::NotAvailable(t));
-                    }
-                    if p == 0 {
-                        return Err(SimError::ZeroProcs(t));
-                    }
-                    if p > free {
-                        return Err(SimError::Oversubscribed {
-                            task: t,
-                            want: p,
-                            free,
-                        });
-                    }
-                    let dur = instance.model(t).time(p);
-                    let proc_ranges = match &mut pool {
-                        Some(pool) => pool.alloc(p).expect("pool tracks free count"),
-                        None => Vec::new(),
-                    };
-                    free -= p;
-                    status[t.index()] = Some(Status::Running);
-                    let placement_idx = placements.len();
-                    placements.push(Placement {
-                        task: t,
-                        start: time,
-                        end: time + dur,
-                        procs: p,
-                        proc_ranges,
-                        released: released_at[t.index()],
-                    });
-                    heap.push(Reverse(Event {
-                        time: time + dur,
-                        seq,
-                        placement_idx,
-                    }));
-                    seq += 1;
-                }
-            }
-        };
-    }
-
-    // Timed arrivals already due at time 0 (release dates ≤ 0).
-    macro_rules! drain_arrivals {
-        () => {
-            while let Some(a) = instance.next_arrival() {
-                if a > time {
-                    break;
-                }
-                for t in instance.arrivals(a) {
-                    ensure(&mut status, &mut released_at, t);
-                    scheduler.release(t, instance.model(t));
-                    status[t.index()] = Some(Status::Available);
-                    released_at[t.index()] = a;
-                }
-            }
-        };
-    }
-    drain_arrivals!();
-    decide!();
-
-    // Completion batch, reused across decision points.
-    let mut batch: Vec<usize> = Vec::new();
-    loop {
-        // Next event: a completion or a timed arrival, whichever first
-        // (completions processed before arrivals at equal times).
-        let next_completion = heap.peek().map(|Reverse(e)| e.time);
-        let next_arrival = instance.next_arrival();
-        let t_next = match (next_completion, next_arrival) {
-            (None, None) => break,
-            (Some(c), None) => c,
-            (None, Some(a)) => a,
-            (Some(c), Some(a)) => c.min(a),
-        };
-        time = t_next;
-        // Gather all completions at exactly this time (in seq order —
-        // BinaryHeap pops them in (time, seq) order).
-        batch.clear();
-        while let Some(Reverse(peek)) = heap.peek() {
-            if peek.time == time {
-                let Reverse(ev) = heap.pop().expect("peeked");
-                batch.push(ev.placement_idx);
-            } else {
-                break;
-            }
-        }
-        // 1) free the processors of every completion in the batch
-        for &idx in &batch {
-            let pl = &placements[idx];
-            free += pl.procs;
-            if let Some(pool) = &mut pool {
-                pool.release(&pl.proc_ranges);
-            }
-            status[pl.task.index()] = Some(Status::Done);
-            completed += 1;
-        }
-        // 2) reveal the consequences, in completion order
-        for &idx in &batch {
-            let task = placements[idx].task;
-            newly.clear();
-            instance.on_complete_into(task, time, &mut newly);
-            for &t in &newly {
-                ensure(&mut status, &mut released_at, t);
-                scheduler.release(t, instance.model(t));
-                status[t.index()] = Some(Status::Available);
-                released_at[t.index()] = time;
-            }
-        }
-        // 3) timed arrivals due now
-        drain_arrivals!();
-        // 4) new decision point
-        decide!();
-
-        if heap.is_empty() && instance.next_arrival().is_none() && !instance.is_done() {
-            // Nothing running, nothing arriving, instance incomplete:
-            // the scheduler refused available work (or the instance is
-            // inconsistent).
-            let any_available = status.contains(&Some(Status::Available));
-            return Err(if any_available {
-                SimError::Stuck { time, completed }
-            } else {
-                SimError::InconsistentInstance
-            });
-        }
-    }
-
-    if !instance.is_done() && completed > 0 {
-        return Err(SimError::InconsistentInstance);
-    }
-    if completed == 0 && !instance.is_done() {
-        // Nothing ever ran (e.g. scheduler refused the initial frontier).
-        return Err(SimError::Stuck {
-            time: 0.0,
-            completed: 0,
-        });
-    }
-
-    Ok(Schedule {
-        p_total,
-        placements,
-        makespan: time,
-    })
+    Stepper::new(instance, scheduler, opts).finish()
 }
 
 #[cfg(test)]

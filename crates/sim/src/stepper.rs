@@ -1,23 +1,23 @@
-//! Incremental, resumable form of the discrete-event engine.
+//! The discrete-event engine, in incremental and resumable form.
 //!
-//! [`crate::simulate_instance`] runs an instance to completion in one
-//! call; long-lived services (the multi-tenant session layer) instead
-//! need to *step* a shared platform forward in bounded virtual-time
-//! slices, observe completions as they materialize, and feed new
-//! arrivals into the instance between steps. [`Stepper`] is that
-//! form: it owns the instance and the scheduler, exposes
-//! [`Stepper::advance_until`] to process every event up to a time
-//! horizon, and reports each completion incrementally as an index
-//! into its growing placement log.
+//! [`Stepper`] is the crate's only per-event loop: the one-shot entry
+//! points [`crate::simulate`] and [`crate::simulate_instance`] are a
+//! `Stepper` run to quiescence by [`Stepper::finish`], and long-lived
+//! services (the multi-tenant session layer) instead *step* a shared
+//! platform forward in bounded virtual-time slices with
+//! [`Stepper::advance_until`], observe each completion as an index
+//! into the growing placement log, and feed new arrivals into the
+//! instance between steps.
 //!
-//! The event semantics are the one-shot engine's, verbatim: events
-//! ordered by `(time, start-sequence)`, all completions at one
-//! instant retired as a batch (processors freed first, consequences
-//! revealed in completion order, timed arrivals drained, then a new
-//! decision point), and the same [`SimError`] surface for scheduler
-//! bugs. `tests` below pin the stepper bit-identical to
-//! [`crate::simulate_instance`] — same placements, same makespan —
-//! whether advanced in one jump or in many small slices.
+//! Event semantics: events are ordered by `(time, start-sequence)`,
+//! and all completions at one instant retire as a batch: processors
+//! freed first, consequences revealed in completion order, timed
+//! arrivals drained, then a new decision point. The batched engine
+//! ([`crate::simulate_batched`]) implements the same contract and is
+//! held bit-identical to this one by
+//! `tests/batched_engine_equivalence.rs`. `tests` below pin this
+//! engine's placements to constants and check that many small slices
+//! give the same run as one jump.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -26,52 +26,51 @@ use moldable_graph::TaskId;
 
 use crate::{Instance, Placement, ProcPool, Schedule, Scheduler, SimError, SimOptions};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Available,
-    Running,
-    Done,
+/// Completion event, shared with the batched engine. `idx` is the
+/// placement index, which is also the start sequence (placements are
+/// pushed in start order), so ordering by `(time, idx)` retires
+/// same-instant completions in start order. Task and processor count
+/// ride along so retiring the event touches no other array.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Completion {
+    pub(crate) time: f64,
+    pub(crate) idx: u32,
+    pub(crate) task: TaskId,
+    pub(crate) procs: u32,
 }
 
-/// Completion event: ordered by time then submission sequence —
-/// identical to the one-shot engine's tie-break.
-struct Event {
-    time: f64,
-    seq: u64,
-    placement_idx: usize,
-}
-
-impl PartialEq for Event {
+impl PartialEq for Completion {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.time == other.time && self.idx == other.idx
     }
 }
-impl Eq for Event {}
-impl PartialOrd for Event {
+impl Eq for Completion {}
+impl PartialOrd for Completion {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Event {
+impl Ord for Completion {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.time
             .total_cmp(&other.time)
-            .then(self.seq.cmp(&other.seq))
+            .then(self.idx.cmp(&other.idx))
     }
 }
 
 /// An in-flight simulation that can be advanced in time slices.
 ///
-/// Unlike the one-shot entry points this owns both the instance and
-/// the scheduler, so a service can hold one `Stepper` for the
-/// lifetime of a shared platform and mutate the instance between
-/// advances (submitting new work) through [`Stepper::instance_mut`].
+/// The stepper owns both the instance and the scheduler (borrow them
+/// with `&mut` to keep ownership outside), so a service can hold one
+/// `Stepper` for the lifetime of a shared platform and mutate the
+/// instance between advances (submitting new work) through
+/// [`Stepper::instance_mut`].
 ///
 /// Mutation contract: between advances the caller may only *add*
 /// future work — arrivals at or after [`Stepper::now`] — and register
 /// state for tasks the engine has not yet seen. Rewriting the past
 /// (arrivals before `now`, models of released tasks) breaks the
-/// engine invariants exactly as it would break the one-shot engine.
+/// engine invariants.
 pub struct Stepper<I, S> {
     instance: I,
     scheduler: S,
@@ -79,15 +78,15 @@ pub struct Stepper<I, S> {
     free: u32,
     pool: Option<ProcPool>,
     placements: Vec<Placement>,
-    heap: BinaryHeap<Reverse<Event>>,
-    seq: u64,
+    heap: BinaryHeap<Reverse<Completion>>,
     time: f64,
     completed: usize,
-    status: Vec<Option<Status>>,
+    /// Per task id: released and not yet started.
+    available: Vec<bool>,
     released_at: Vec<f64>,
     picks: Vec<(TaskId, u32)>,
     newly: Vec<TaskId>,
-    batch: Vec<usize>,
+    batch: Vec<Completion>,
     primed: bool,
     error: Option<SimError>,
 }
@@ -97,7 +96,7 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
     /// `opts.p_total` processors. Calls `scheduler.init`; the initial
     /// frontier is released lazily on the first advance, so arrivals
     /// registered before the first [`Stepper::advance_until`] are
-    /// seen exactly as the one-shot engine would see them.
+    /// seen exactly as if they had been there from the start.
     pub fn new(instance: I, mut scheduler: S, opts: &SimOptions) -> Self {
         let p_total = opts.p_total;
         scheduler.init(p_total);
@@ -110,10 +109,9 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
             pool: opts.record_proc_ids.then(|| ProcPool::new(p_total)),
             placements: Vec::with_capacity(hint),
             heap: BinaryHeap::with_capacity(p_total as usize),
-            seq: 0,
             time: 0.0,
             completed: 0,
-            status: Vec::with_capacity(hint),
+            available: Vec::with_capacity(hint),
             released_at: Vec::with_capacity(hint),
             picks: Vec::new(),
             newly: Vec::new(),
@@ -189,43 +187,29 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
     ///
     /// # Errors
     ///
-    /// The same [`SimError`]s as the one-shot engine. An error
-    /// poisons the stepper: every later call returns the same error.
+    /// A [`SimError`] when the scheduler or the instance breaks the
+    /// engine contract. An error poisons the stepper: every later call
+    /// returns the same error.
     pub fn advance_until(
         &mut self,
         until: f64,
         completions: &mut Vec<usize>,
     ) -> Result<(), SimError> {
-        if let Some(e) = &self.error {
-            return Err(e.clone());
-        }
-        match self.advance_inner(until, completions) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.error = Some(e.clone());
-                Err(e)
-            }
-        }
+        self.advance(until, Some(completions))
     }
 
     /// Run the remaining events to quiescence and return the final
-    /// [`Schedule`], with the one-shot engine's end-of-run
-    /// consistency checks.
+    /// [`Schedule`].
     ///
     /// # Errors
     ///
-    /// Any pending or provoked [`SimError`].
+    /// Any pending or provoked [`SimError`];
+    /// [`SimError::InconsistentInstance`] if the instance is still
+    /// unfinished at quiescence.
     pub fn finish(mut self) -> Result<Schedule, SimError> {
-        let mut sink = Vec::new();
-        self.advance_until(f64::INFINITY, &mut sink)?;
-        if !self.instance.is_done() && self.completed > 0 {
+        self.advance(f64::INFINITY, None)?;
+        if !self.instance.is_done() {
             return Err(SimError::InconsistentInstance);
-        }
-        if self.completed == 0 && !self.instance.is_done() {
-            return Err(SimError::Stuck {
-                time: 0.0,
-                completed: 0,
-            });
         }
         Ok(Schedule {
             p_total: self.p_total,
@@ -234,175 +218,201 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
         })
     }
 
-    fn ensure(&mut self, t: TaskId) {
-        let need = t.index() + 1;
-        if self.status.len() < need {
-            self.status.resize(need, None);
-            self.released_at.resize(need, 0.0);
+    /// [`Stepper::advance_until`] with the poisoning, and with the
+    /// completion report optional so [`Stepper::finish`] keeps no log.
+    fn advance(
+        &mut self,
+        until: f64,
+        completions: Option<&mut Vec<usize>>,
+    ) -> Result<(), SimError> {
+        if let Some(e) = &self.error {
+            return Err(e.clone());
         }
-    }
-
-    fn release(&mut self, t: TaskId, at: f64) {
-        self.ensure(t);
-        self.scheduler.release(t, self.instance.model(t));
-        self.status[t.index()] = Some(Status::Available);
-        self.released_at[t.index()] = at;
-    }
-
-    fn drain_arrivals(&mut self) {
-        while let Some(a) = self.instance.next_arrival() {
-            if a > self.time {
-                break;
-            }
-            let mut arrived = std::mem::take(&mut self.newly);
-            arrived.clear();
-            arrived.extend(self.instance.arrivals(a));
-            for &t in &arrived {
-                self.release(t, a);
-            }
-            self.newly = arrived;
+        let result = self.run(until, completions);
+        if let Err(e) = &result {
+            self.error = Some(e.clone());
         }
+        result
     }
 
-    fn decide(&mut self) -> Result<(), SimError> {
-        loop {
-            let mut picks = std::mem::take(&mut self.picks);
-            picks.clear();
-            self.scheduler.select_into(self.time, self.free, &mut picks);
-            if picks.is_empty() {
-                self.picks = picks;
-                return Ok(());
+    /// The event loop. The clock, free count and completion count live
+    /// in locals for the whole call (written back on every
+    /// exit), so the scheduler and instance calls in between do not
+    /// force them through memory.
+    fn run(
+        &mut self,
+        until: f64,
+        mut completions: Option<&mut Vec<usize>>,
+    ) -> Result<(), SimError> {
+        let Self {
+            instance,
+            scheduler,
+            pool,
+            placements,
+            heap,
+            available,
+            released_at,
+            picks,
+            newly,
+            batch,
+            primed,
+            ..
+        } = self;
+        let mut time = self.time;
+        let mut free = self.free;
+        let mut completed = self.completed;
+
+        let result = (|| {
+            macro_rules! release {
+                ($t:expr, $at:expr) => {{
+                    let t: TaskId = $t;
+                    let need = t.index() + 1;
+                    if available.len() < need {
+                        available.resize(need, false);
+                        released_at.resize(need, 0.0);
+                    }
+                    scheduler.release(t, instance.model(t));
+                    available[t.index()] = true;
+                    released_at[t.index()] = $at;
+                }};
             }
-            for (t, p) in picks.drain(..) {
-                if t.index() >= self.status.len()
-                    || self.status[t.index()] != Some(Status::Available)
-                {
-                    return Err(SimError::NotAvailable(t));
-                }
-                if p == 0 {
-                    return Err(SimError::ZeroProcs(t));
-                }
-                if p > self.free {
-                    return Err(SimError::Oversubscribed {
-                        task: t,
-                        want: p,
-                        free: self.free,
-                    });
-                }
-                let dur = self.instance.model(t).time(p);
-                let proc_ranges = match &mut self.pool {
-                    Some(pool) => pool.alloc(p).expect("pool tracks free count"),
-                    None => Vec::new(),
+
+            macro_rules! drain_arrivals {
+                () => {
+                    while let Some(a) = instance.next_arrival() {
+                        if a > time {
+                            break;
+                        }
+                        for t in instance.arrivals(a) {
+                            release!(t, a);
+                        }
+                    }
                 };
-                self.free -= p;
-                self.status[t.index()] = Some(Status::Running);
-                let placement_idx = self.placements.len();
-                self.placements.push(Placement {
-                    task: t,
-                    start: self.time,
-                    end: self.time + dur,
-                    procs: p,
-                    proc_ranges,
-                    released: self.released_at[t.index()],
-                });
-                self.heap.push(Reverse(Event {
-                    time: self.time + dur,
-                    seq: self.seq,
-                    placement_idx,
-                }));
-                self.seq += 1;
             }
-            self.picks = picks;
-        }
-    }
 
-    /// The engine's wedge check: available work exists, nothing runs,
-    /// nothing arrives, and the scheduler passes.
-    fn check_progress(&self) -> Result<(), SimError> {
-        if self.heap.is_empty()
-            && self.instance.next_arrival().is_none()
-            && !self.instance.is_done()
-        {
-            let any_available = self.status.contains(&Some(Status::Available));
-            return Err(if any_available {
-                SimError::Stuck {
-                    time: self.time,
-                    completed: self.completed,
+            // Ask the scheduler until it passes, then check that the
+            // run can still make progress.
+            macro_rules! decide {
+                () => {
+                    loop {
+                        picks.clear();
+                        scheduler.select_into(time, free, picks);
+                        if picks.is_empty() {
+                            break;
+                        }
+                        for &(t, p) in picks.iter() {
+                            if available.get(t.index()) != Some(&true) {
+                                return Err(SimError::NotAvailable(t));
+                            }
+                            if p == 0 {
+                                return Err(SimError::ZeroProcs(t));
+                            }
+                            if p > free {
+                                return Err(SimError::Oversubscribed {
+                                    task: t,
+                                    want: p,
+                                    free,
+                                });
+                            }
+                            let dur = instance.model(t).time(p);
+                            let proc_ranges = match pool {
+                                Some(pool) => pool.alloc(p).expect("pool tracks free count"),
+                                None => Vec::new(),
+                            };
+                            free -= p;
+                            available[t.index()] = false;
+                            heap.push(Reverse(Completion {
+                                time: time + dur,
+                                idx: u32::try_from(placements.len()).expect("placements fit u32"),
+                                task: t,
+                                procs: p,
+                            }));
+                            placements.push(Placement {
+                                task: t,
+                                start: time,
+                                end: time + dur,
+                                procs: p,
+                                proc_ranges,
+                                released: released_at[t.index()],
+                            });
+                        }
+                    }
+                    // Nothing running, nothing arriving, instance
+                    // incomplete: the scheduler refused available work,
+                    // or the instance owes tasks it never released.
+                    if heap.is_empty() && instance.next_arrival().is_none() && !instance.is_done() {
+                        return Err(if available.contains(&true) {
+                            SimError::Stuck { time, completed }
+                        } else {
+                            SimError::InconsistentInstance
+                        });
+                    }
+                };
+            }
+
+            if !*primed {
+                *primed = true;
+                for t in instance.initial() {
+                    release!(t, 0.0);
                 }
-            } else {
-                SimError::InconsistentInstance
-            });
-        }
-        Ok(())
-    }
-
-    fn advance_inner(&mut self, until: f64, completions: &mut Vec<usize>) -> Result<(), SimError> {
-        if !self.primed {
-            self.primed = true;
-            let initial = self.instance.initial();
-            for t in initial {
-                self.release(t, 0.0);
+                drain_arrivals!();
+                decide!();
             }
-            self.drain_arrivals();
-            self.decide()?;
-            self.check_progress()?;
-        }
-        loop {
-            let next_completion = self.heap.peek().map(|Reverse(e)| e.time);
-            let next_arrival = self.instance.next_arrival();
-            let t_next = match (next_completion, next_arrival) {
-                (None, None) => break,
-                (Some(c), None) => c,
-                (None, Some(a)) => a,
-                (Some(c), Some(a)) => c.min(a),
-            };
-            if t_next > until {
-                break;
-            }
-            self.time = t_next;
-            self.batch.clear();
-            while let Some(Reverse(peek)) = self.heap.peek() {
-                if peek.time == self.time {
-                    let Reverse(ev) = self.heap.pop().expect("peeked");
-                    self.batch.push(ev.placement_idx);
-                } else {
+            loop {
+                // Next event: a completion or a timed arrival, whichever
+                // first (completions processed before arrivals at equal
+                // times).
+                let t_next = match (heap.peek(), instance.next_arrival()) {
+                    (None, None) => break,
+                    (Some(Reverse(e)), None) => e.time,
+                    (None, Some(a)) => a,
+                    (Some(Reverse(e)), Some(a)) => e.time.min(a),
+                };
+                if t_next > until {
                     break;
                 }
-            }
-            // 1) free the processors of every completion in the batch
-            for i in 0..self.batch.len() {
-                let idx = self.batch[i];
-                let pl = &self.placements[idx];
-                self.free += pl.procs;
-                let task = pl.task;
-                if let Some(pool) = &mut self.pool {
-                    let ranges = std::mem::take(&mut self.placements[idx].proc_ranges);
-                    pool.release(&ranges);
-                    self.placements[idx].proc_ranges = ranges;
+                time = t_next;
+                // Gather all completions at exactly this time, in
+                // start order.
+                batch.clear();
+                while let Some(&Reverse(e)) = heap.peek() {
+                    if e.time != time {
+                        break;
+                    }
+                    batch.push(e);
+                    heap.pop();
                 }
-                self.status[task.index()] = Some(Status::Done);
-                self.completed += 1;
-            }
-            // 2) reveal the consequences, in completion order
-            for i in 0..self.batch.len() {
-                let idx = self.batch[i];
-                let task = self.placements[idx].task;
-                let mut newly = std::mem::take(&mut self.newly);
-                newly.clear();
-                self.instance.on_complete_into(task, self.time, &mut newly);
-                for &t in &newly {
-                    self.release(t, self.time);
+                // 1) free the processors of every completion in the batch
+                for e in batch.iter() {
+                    free += e.procs;
+                    if let Some(pool) = pool.as_mut() {
+                        pool.release(&placements[e.idx as usize].proc_ranges);
+                    }
                 }
-                self.newly = newly;
+                completed += batch.len();
+                // 2) reveal the consequences, in completion order
+                for e in batch.iter() {
+                    newly.clear();
+                    instance.on_complete_into(e.task, time, newly);
+                    for &t in newly.iter() {
+                        release!(t, time);
+                    }
+                }
+                if let Some(out) = completions.as_deref_mut() {
+                    out.extend(batch.iter().map(|e| e.idx as usize));
+                }
+                // 3) timed arrivals due now
+                drain_arrivals!();
+                // 4) new decision point
+                decide!();
             }
-            completions.extend_from_slice(&self.batch);
-            // 3) timed arrivals due now
-            self.drain_arrivals();
-            // 4) new decision point
-            self.decide()?;
-            self.check_progress()?;
-        }
-        Ok(())
+            Ok(())
+        })();
+
+        self.time = time;
+        self.free = free;
+        self.completed = completed;
+        result
     }
 }
 
@@ -465,41 +475,52 @@ mod tests {
         }
     }
 
-    fn fingerprint(placements: &[Placement]) -> Vec<(u32, u64, u64, u32, u64)> {
-        placements
-            .iter()
-            .map(|pl| {
-                (
-                    pl.task.0,
-                    pl.start.to_bits(),
-                    pl.end.to_bits(),
-                    pl.procs,
-                    pl.released.to_bits(),
-                )
-            })
-            .collect()
+    /// FNV-1a over each placement's `(task, start bits, end bits,
+    /// procs, released bits)`, little-endian, in placement order.
+    fn fingerprint(placements: &[Placement]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for pl in placements {
+            let bytes = pl
+                .task
+                .0
+                .to_le_bytes()
+                .into_iter()
+                .chain(pl.start.to_bits().to_le_bytes())
+                .chain(pl.end.to_bits().to_le_bytes())
+                .chain(pl.procs.to_le_bytes())
+                .chain(pl.released.to_bits().to_le_bytes());
+            for b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
     }
 
+    /// `(shape, size, P, placements, fingerprint, makespan bits)` of a
+    /// FIFO run, recorded before `simulate_instance` and the stepper
+    /// shared one event loop, when each had its own.
+    #[rustfmt::skip]
+    const GRAPH_PINS: [(&str, u32, u32, usize, u64, u64); 4] = [
+        ("cholesky", 8, 16, 120, 0x40f7_4834_9c97_4ae8, 0x40aa_ea00_63b7_4baa),
+        ("layered", 10, 24, 100, 0x518f_fa56_325d_bbf5, 0x409f_3917_8ad0_2e9c),
+        ("fft", 5, 8, 192, 0x9f7a_24c9_a9e0_9aa8, 0x40ac_e004_8e02_ea62),
+        ("fork-join", 40, 12, 126, 0x2d07_cf5e_88cc_a3ca, 0x40a0_a58b_e0a5_dda6),
+    ];
+
     #[test]
-    fn stepper_matches_one_shot_engine_on_generated_graphs() {
-        for (shape, size, p) in [
-            ("cholesky", 8u32, 16u32),
-            ("layered", 10, 24),
-            ("fft", 5, 8),
-            ("fork-join", 40, 12),
-        ] {
+    fn generated_graphs_keep_their_pinned_schedules() {
+        for (shape, size, p, n, fp, makespan) in GRAPH_PINS {
             let g = gen::by_name(shape, size, ModelClass::Amdahl, p, 7).unwrap();
-            let opts = SimOptions::new(p);
-            let reference =
-                simulate_instance(&mut GraphInstance::new(&g), &mut Fifo::new(2), &opts).unwrap();
-            let stepper = Stepper::new(GraphInstance::new(&g), Fifo::new(2), &opts);
-            let got = stepper.finish().unwrap();
-            assert_eq!(
+            let got = Stepper::new(GraphInstance::new(&g), Fifo::new(2), &SimOptions::new(p))
+                .finish()
+                .unwrap();
+            let seen = (
+                got.placements.len(),
                 fingerprint(&got.placements),
-                fingerprint(&reference.placements),
-                "{shape}"
+                got.makespan.to_bits(),
             );
-            assert_eq!(got.makespan.to_bits(), reference.makespan.to_bits());
+            assert_eq!(seen, (n, fp, makespan), "{shape}");
         }
     }
 
@@ -537,25 +558,46 @@ mod tests {
     }
 
     #[test]
-    fn timed_arrivals_match_one_shot_engine() {
+    fn timed_arrivals_keep_their_pinned_schedule() {
         let releases: Vec<(f64, SpeedupModel)> = (0..40)
             .map(|i| (f64::from(i % 7) * 0.5, unit(1.0 + f64::from(i % 3))))
             .collect();
-        let opts = SimOptions::new(4);
-        let reference = simulate_instance(
-            &mut TimedArrivals::new(releases.clone()),
-            &mut Fifo::new(1),
-            &opts,
+        let got = Stepper::new(
+            TimedArrivals::new(releases),
+            Fifo::new(1),
+            &SimOptions::new(4),
         )
+        .finish()
         .unwrap();
-        let got = Stepper::new(TimedArrivals::new(releases), Fifo::new(1), &opts)
-            .finish()
-            .unwrap();
-        assert_eq!(
-            fingerprint(&got.placements),
-            fingerprint(&reference.placements)
-        );
-        assert_eq!(got.makespan.to_bits(), reference.makespan.to_bits());
+        assert_eq!(got.placements.len(), 40);
+        assert_eq!(fingerprint(&got.placements), 0xc751_3ff4_df1b_20e4);
+        assert_eq!(got.makespan, 21.0);
+    }
+
+    #[test]
+    fn instance_that_releases_nothing_and_never_finishes_is_inconsistent() {
+        /// Claims outstanding work but never releases any.
+        struct Hollow;
+        impl Instance for Hollow {
+            fn initial(&mut self) -> Vec<TaskId> {
+                Vec::new()
+            }
+            fn on_complete(&mut self, _task: TaskId, _time: f64) -> Vec<TaskId> {
+                Vec::new()
+            }
+            fn is_done(&self) -> bool {
+                false
+            }
+            fn model(&self, _task: TaskId) -> &SpeedupModel {
+                unreachable!("no task is ever released")
+            }
+        }
+        let opts = SimOptions::new(2);
+        let err = simulate_instance(&mut Hollow, &mut Fifo::new(1), &opts).unwrap_err();
+        assert_eq!(err, SimError::InconsistentInstance);
+        let mut st = Stepper::new(Hollow, Fifo::new(1), &opts);
+        let err = st.advance_until(1.0, &mut Vec::new()).unwrap_err();
+        assert_eq!(err, SimError::InconsistentInstance);
     }
 
     #[test]
