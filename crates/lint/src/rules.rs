@@ -289,7 +289,7 @@ pub struct RuleConfig {
     /// `no-hash-iter` and the `f32` half of `float-total-order` apply.
     pub deterministic_crates: Vec<String>,
     /// Path fragments where wall-clock reads are expected (bench
-    /// timing, loadgen, the server accept loop).
+    /// timing, loadgen, the server's event loop and request deadlines).
     pub wallclock_allow_paths: Vec<String>,
     /// Crates allowed ambient entropy / env reads (CLI + daemon
     /// configuration surface).
@@ -320,7 +320,7 @@ impl Default for RuleConfig {
             wallclock_allow_paths: v(&[
                 "crates/bench/",
                 "crates/serve/src/loadgen.rs",
-                "crates/serve/src/server.rs",
+                "crates/serve/src/server",
             ]),
             entropy_crates: v(&["cli", "serve"]),
             pure_crates: v(&[
@@ -383,7 +383,7 @@ fn no_wall_clock(ctx: &FileCtx, cfg: &RuleConfig, out: &mut Vec<Diagnostic>) {
                 t.line,
                 format!(
                     "wall-clock read `{}` outside the timing allowlist \
-                     (bench, loadgen, server accept loop); simulated time \
+                     (bench, loadgen, server event loop); simulated time \
                      must come from the engine",
                     t.text
                 ),

@@ -58,7 +58,7 @@ fn workspace_lints_clean() {
     // service mutexes — including the per-worker request shards and
     // the epoll event-loop state (completion queue, wake pipe) — must
     // be visible as nodes and the graph acyclic.
-    for node in ["svc", "queue", "conns", "completions", "wake"] {
+    for node in ["svc", "queue", "completions", "wake"] {
         assert!(
             rep.lock_graph.nodes.iter().any(|n| n == node),
             "lock graph missing node `{node}`:\n{}",

@@ -11,7 +11,7 @@
 //! * [`service`] — the request→schedule executor with per-worker
 //!   [`AllocCache`](moldable_core::AllocCache) reuse;
 //! * [`server`] — the daemon: a non-blocking `epoll(7)` event loop
-//!   (or the legacy thread-per-connection transport), per-worker
+//!   with per-connection backpressure and a frame deadline, per-worker
 //!   request shards with spill-over and work-stealing, explicit
 //!   `overloaded` backpressure, per-request timeouts, `stats` with
 //!   latency percentiles, graceful drain on `shutdown` requests or
@@ -79,7 +79,7 @@ pub use proto::{
     CloseSessionRequest, GraphSpec, OpenSessionRequest, PollRequest, Request, SubmitDagRequest,
     SubmitRequest,
 };
-pub use server::{install_drain_signals, FaultHooks, Server, ServerConfig, Transport};
+pub use server::{install_drain_signals, FaultHooks, Server, ServerConfig};
 pub use service::{EngineChoice, ServiceLimits, WorkerContext};
 pub use sessions::SessionHub;
 pub use stats::{Accounting, ServerStats};

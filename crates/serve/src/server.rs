@@ -1,28 +1,31 @@
 //! The `moldable-serve` daemon: a TCP server built on the standard
-//! library alone, with two interchangeable transports.
+//! library alone.
 //!
 //! Threading model (see DESIGN.md §"Service layer"):
 //!
-//! * **Epoll transport** (Linux default): a single non-blocking
-//!   **event-loop** thread multiplexes the listener and every client
-//!   socket through [`crate::epoll::Poller`]. Client sockets are
-//!   registered edge-triggered with per-connection read/write buffers
-//!   and an incremental [`crate::proto::FrameDecoder`], so thousands of idle
-//!   connections cost no threads. Inline verbs (`ping`/`stats`/
-//!   session traffic) are answered on the loop; submits are handed to
-//!   the worker pool with a pending-token and answered when the
-//!   worker's completion comes back over a wake pipe.
-//! * **Threads transport** (legacy, and the non-Linux default): one
-//!   acceptor thread plus one connection thread per client.
-//! * Either way, a fixed **worker pool** executes submit requests from
-//!   *bounded per-worker shards*: a submit lands on its connection's
-//!   home shard, spills to the next shard when full, and idle workers
-//!   steal from their neighbours — the single-mutex handoff of the old
-//!   design is gone while total capacity stays exactly `queue_cap`.
+//! * One non-blocking **event-loop** thread multiplexes the listener
+//!   and every client socket through `epoll(7)` (Linux only; on other
+//!   targets [`Server::start`] returns [`io::ErrorKind::Unsupported`]).
+//!   Client sockets are registered edge-triggered with per-connection
+//!   read/write buffers and an incremental
+//!   [`crate::proto::FrameDecoder`], so thousands of idle connections
+//!   cost no threads. Inline verbs (`ping`/`stats`/session traffic) are
+//!   answered on the loop; submits are handed to the worker pool with
+//!   a pending-token and answered when the worker's completion comes
+//!   back over a wake pipe.
+//! * A fixed **worker pool** executes submit requests from *bounded
+//!   per-worker shards*: a submit lands on its connection's home
+//!   shard, spills to the next shard when full, and idle workers steal
+//!   from their neighbours, while total capacity stays exactly
+//!   `queue_cap`.
 //!
 //! Backpressure is explicit: when every shard is full the submit gets
-//! `{"status": "overloaded"}` immediately — the server never buffers
-//! without bound. A `shutdown` request (or SIGINT via
+//! `{"status": "overloaded"}` immediately. A connection whose inbox or
+//! unsent replies pile up stops being read until it catches up, so a
+//! client that never reads its replies stalls in its own writes
+//! instead of growing the daemon; a frame that stays half-sent for
+//! longer than 10 s (`FRAME_TIMEOUT`) closes its connection. A
+//! `shutdown` request (or SIGINT via
 //! [`install_drain_signals`]) starts a graceful drain: accepting
 //! stops, queued work is finished and answered, then every thread
 //! exits. The `submit_batch` verb packs many requests into one frame;
@@ -30,14 +33,9 @@
 //! carries all the results.
 
 use std::collections::VecDeque;
-use std::io::{self, Read};
-#[cfg(unix)]
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -46,7 +44,7 @@ use moldable_model::ModelClass;
 use moldable_tenant::TenantConfig;
 
 use crate::json::{self, obj, Json};
-use crate::proto::{self, FrameError, Request, SubmitRequest};
+use crate::proto::{self, Request, SubmitRequest};
 use crate::service::{ServiceLimits, WorkerContext};
 use crate::sessions::SessionHub;
 use crate::stats::ServerStats;
@@ -55,47 +53,14 @@ use crate::stats::ServerStats;
 /// noticing a drain request.
 const IDLE_TICK: Duration = Duration::from_millis(50);
 
-/// Once a frame has started arriving, how long the rest may take
-/// (threads transport), and how long a drain waits for in-flight
-/// connections before force-closing them (epoll transport).
+/// How long a frame may take to arrive once its first byte has: a
+/// connection that stays mid-frame for longer is closed. Also how long
+/// a drain waits for in-flight connections before force-closing them.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How long an idle worker parks on its own shard before re-scanning
 /// its neighbours for work to steal.
 const STEAL_TICK: Duration = Duration::from_millis(10);
-
-/// Which socket transport the daemon runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// Non-blocking `epoll(7)` readiness loop: one event-loop thread
-    /// multiplexes every connection (Linux only; the default there).
-    Epoll,
-    /// Thread-per-connection transport: the non-Linux default, the
-    /// fallback when epoll setup fails, and the baseline the perf
-    /// harness compares against.
-    Threads,
-}
-
-impl Transport {
-    /// Resolve from the `MOLDABLE_SERVE_TRANSPORT` environment
-    /// variable (`"epoll"` / `"threads"`), defaulting to
-    /// [`Transport::Epoll`] on Linux and [`Transport::Threads`]
-    /// elsewhere.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("MOLDABLE_SERVE_TRANSPORT").as_deref() {
-            Ok("epoll") => Self::Epoll,
-            Ok("threads") => Self::Threads,
-            _ => {
-                if cfg!(target_os = "linux") {
-                    Self::Epoll
-                } else {
-                    Self::Threads
-                }
-            }
-        }
-    }
-}
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -117,9 +82,6 @@ pub struct ServerConfig {
     /// The streaming session layer: shared platform size, allocation
     /// μ, per-tenant quotas, idle reaping.
     pub tenant: TenantConfig,
-    /// Socket transport (defaults from `MOLDABLE_SERVE_TRANSPORT`,
-    /// else epoll on Linux).
-    pub transport: Transport,
 }
 
 impl Default for ServerConfig {
@@ -132,7 +94,6 @@ impl Default for ServerConfig {
             request_timeout: Duration::from_secs(30),
             limits: ServiceLimits::default(),
             tenant: TenantConfig::new(64, ModelClass::Amdahl.optimal_mu()),
-            transport: Transport::from_env(),
         }
     }
 }
@@ -197,20 +158,12 @@ enum JobKind {
     Batch(Vec<Vec<u8>>),
 }
 
-/// Where a finished job's reply goes.
-enum ReplyTo {
-    /// A connection thread blocked on `recv_timeout` (threads
-    /// transport).
-    Channel(mpsc::Sender<Json>),
-    /// The epoll event loop, keyed by its pending-request token.
-    #[cfg_attr(not(target_os = "linux"), allow(dead_code))]
-    Loop(u64),
-}
-
 /// One queued job awaiting a worker.
 struct Job {
     kind: JobKind,
-    reply: ReplyTo,
+    /// The event loop's pending-request token; the completion carries
+    /// it back.
+    token: u64,
     enqueued: Instant,
 }
 
@@ -280,16 +233,15 @@ fn shard_caps(total: usize, n: usize) -> Vec<usize> {
 /// State shared by every server thread.
 struct Shared {
     shards: Vec<Shard>,
-    next_conn_id: AtomicU64,
     draining: AtomicBool,
     stats: ServerStats,
     config: ServerConfig,
     hooks: FaultHooks,
-    conns: Mutex<Vec<thread::JoinHandle<()>>>,
     hub: SessionHub,
     completions: Mutex<Vec<Completion>>,
-    #[cfg(unix)]
-    wake: Mutex<Option<UnixStream>>,
+    /// The write end of the event loop's wake pipe, installed by the
+    /// loop at start-up (boxed, so only the loop names its type).
+    wake: Mutex<Option<Box<dyn Write + Send>>>,
 }
 
 impl Shared {
@@ -308,10 +260,12 @@ impl Shared {
         self.wake_loop();
     }
 
-    /// Try to enqueue on the home shard, spilling to the next shards
+    /// Try to enqueue on the connection's home shard (so one client
+    /// keeps one worker's caches warm), spilling to the next shards
     /// when full; `Err` means every shard was full (backpressure).
-    fn enqueue(&self, mut job: Job, home: usize) -> Result<(), ()> {
+    fn enqueue(&self, mut job: Job, conn_id: u64) -> Result<(), ()> {
         let n = self.shards.len();
+        let home = usize::try_from(conn_id % n as u64).unwrap_or(0);
         for k in 0..n {
             match self.shards[(home + k) % n].try_push(job, &self.stats) {
                 Ok(()) => {
@@ -339,33 +293,15 @@ impl Shared {
         self.wake_loop();
     }
 
-    /// Hand the event loop its wake-pipe writer.
-    #[cfg(target_os = "linux")]
-    fn set_wake(&self, tx: UnixStream) {
-        let mut slot = self.wake.lock().expect("wake lock");
-        *slot = Some(tx);
-    }
-
     /// Nudge the event loop out of `epoll_wait` (completion or drain).
-    #[cfg(unix)]
     fn wake_loop(&self) {
-        let slot = self.wake.lock().expect("wake lock");
-        if let Some(tx) = slot.as_ref() {
+        let mut slot = self.wake.lock().expect("wake lock");
+        if let Some(tx) = slot.as_mut() {
             // The pipe is non-blocking; a full pipe already guarantees
             // a pending wake, so the result is irrelevant.
-            let mut w: &UnixStream = tx;
-            let _ = w.write(&[1]);
+            let _ = tx.write(&[1]);
         }
     }
-
-    #[cfg(not(unix))]
-    fn wake_loop(&self) {}
-}
-
-/// The shard a connection's submits land on first.
-fn home_shard(shared: &Shared, conn_id: u64) -> usize {
-    let n = shared.shards.len() as u64;
-    usize::try_from(conn_id % n).unwrap_or(0)
 }
 
 /// A running daemon. Dropping without [`Server::join`] leaks threads;
@@ -374,7 +310,7 @@ fn home_shard(shared: &Shared, conn_id: u64) -> usize {
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    acceptor: Option<thread::JoinHandle<()>>,
+    event_loop: thread::JoinHandle<()>,
     workers: Vec<thread::JoinHandle<()>>,
 }
 
@@ -384,7 +320,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates a bind or event-loop setup failure (epoll instance,
+    /// wake pipe, listener registration); off Linux, always
+    /// [`io::ErrorKind::Unsupported`].
     pub fn start(config: ServerConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
@@ -397,17 +335,15 @@ impl Server {
             .collect();
         let shared = Arc::new(Shared {
             shards,
-            next_conn_id: AtomicU64::new(FIRST_CONN_ID),
             draining: AtomicBool::new(false),
             stats: ServerStats::new(),
             config,
             hooks: FaultHooks::default(),
-            conns: Mutex::new(Vec::new()),
             hub,
             completions: Mutex::new(Vec::new()),
-            #[cfg(unix)]
             wake: Mutex::new(None),
         });
+        let event_loop = event_loop::EventLoop::new(listener, &shared)?;
 
         let worker_handles = (0..workers)
             .map(|i| {
@@ -419,25 +355,15 @@ impl Server {
             })
             .collect();
 
-        let acceptor = {
-            let shared2 = Arc::clone(&shared);
-            match shared.config.transport {
-                #[cfg(target_os = "linux")]
-                Transport::Epoll => thread::Builder::new()
-                    .name("serve-epoll".to_string())
-                    .spawn(move || event_loop::run(listener, &shared2))
-                    .expect("spawn event loop"),
-                _ => thread::Builder::new()
-                    .name("serve-accept".to_string())
-                    .spawn(move || accept_loop(&listener, &shared2))
-                    .expect("spawn acceptor"),
-            }
-        };
+        let event_loop = thread::Builder::new()
+            .name("serve-epoll".to_string())
+            .spawn(move || event_loop.run())
+            .expect("spawn event loop");
 
         Ok(Self {
             local_addr,
             shared,
-            acceptor: Some(acceptor),
+            event_loop,
             workers: worker_handles,
         })
     }
@@ -454,7 +380,8 @@ impl Server {
         &self.shared.stats
     }
 
-    /// The streaming session hub (shared with every transport thread).
+    /// The streaming session hub (shared with the event loop and every
+    /// worker).
     #[must_use]
     pub fn session_hub(&self) -> &SessionHub {
         &self.shared.hub
@@ -491,16 +418,10 @@ impl Server {
 
     /// Wait for every thread to exit (drain must have been triggered,
     /// or this blocks until a `shutdown` request arrives).
-    pub fn join(mut self) {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for w in self.workers.drain(..) {
+    pub fn join(self) {
+        let _ = self.event_loop.join();
+        for w in self.workers {
             let _ = w.join();
-        }
-        let conns = std::mem::take(&mut *self.shared.conns.lock().expect("conn list"));
-        for c in conns {
-            let _ = c.join();
         }
     }
 
@@ -513,74 +434,6 @@ impl Server {
         }
         self.trigger_drain();
         self.join();
-    }
-}
-
-/// Connection ids double as epoll cookies; 0 and 1 are reserved for
-/// the listener and the wake pipe.
-const FIRST_CONN_ID: u64 = 2;
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        if shared.draining() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                ServerStats::bump(&shared.stats.connections);
-                let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-                let shared2 = Arc::clone(shared);
-                let handle = thread::Builder::new()
-                    .name("serve-conn".to_string())
-                    .spawn(move || {
-                        let _ = connection_loop(stream, conn_id, &shared2);
-                    })
-                    .expect("spawn connection thread");
-                let mut conns = shared.conns.lock().expect("conn list");
-                // Reap finished connection threads so a long-lived
-                // daemon's handle list doesn't grow without bound as
-                // clients come and go.
-                let mut i = 0;
-                while i < conns.len() {
-                    if conns[i].is_finished() {
-                        let _ = conns.swap_remove(i).join();
-                    } else {
-                        i += 1;
-                    }
-                }
-                conns.push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(IDLE_TICK);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => thread::sleep(IDLE_TICK),
-        }
-    }
-}
-
-/// Wait for the first byte of a frame with short timeouts so the
-/// thread stays responsive to drain; returns `None` on EOF or when
-/// draining while idle.
-fn sniff_first_byte(stream: &mut TcpStream, shared: &Shared) -> io::Result<Option<u8>> {
-    let mut first = [0u8; 1];
-    loop {
-        match stream.read(&mut first) {
-            Ok(0) => return Ok(None),
-            Ok(_) => return Ok(Some(first[0])),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.draining() {
-                    return Ok(None);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
     }
 }
 
@@ -613,7 +466,7 @@ fn inline_reply(shared: &Shared, req: &Request) -> Option<Vec<u8>> {
             .encode()
             .into_bytes()
         }
-        // Session verbs run inline on the transport thread: they never
+        // Session verbs run inline on the event loop: they never
         // simulate more than the conservative clock allows per poll,
         // and graph construction happens before the hub lock is taken.
         // Opening and submitting are refused during a drain; polling
@@ -642,106 +495,6 @@ fn inline_reply(shared: &Shared, req: &Request) -> Option<Vec<u8>> {
     })
 }
 
-fn connection_loop(mut stream: TcpStream, conn_id: u64, shared: &Arc<Shared>) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(IDLE_TICK))?;
-    let max_frame = shared.config.max_frame;
-    let home = home_shard(shared, conn_id);
-    loop {
-        let Some(first) = sniff_first_byte(&mut stream, shared)? else {
-            return Ok(()); // clean EOF or idle at drain
-        };
-        // A frame is arriving: commit to it with a generous timeout.
-        stream.set_read_timeout(Some(FRAME_TIMEOUT))?;
-        let payload = match proto::read_frame_rest(&mut stream, first, max_frame) {
-            Ok(p) => p,
-            Err(FrameError::TooLarge { announced, limit }) => {
-                ServerStats::bump(&shared.stats.errors);
-                proto::write_frame(
-                    &mut stream,
-                    &proto::error_reply(&format!(
-                        "frame of {announced} bytes exceeds limit {limit}"
-                    )),
-                )?;
-                stream.set_read_timeout(Some(IDLE_TICK))?;
-                continue;
-            }
-            Err(FrameError::Corrupt(n)) => {
-                ServerStats::bump(&shared.stats.errors);
-                let _ = proto::write_frame(
-                    &mut stream,
-                    &proto::error_reply(&format!("implausible frame length {n}; closing")),
-                );
-                return Ok(());
-            }
-            Err(FrameError::Io(e)) => return Err(e),
-        };
-        stream.set_read_timeout(Some(IDLE_TICK))?;
-
-        // Same fast path as the event loop: recognize a batch without
-        // parsing the inner payloads, so a garbage *item* draws a
-        // per-item error on the worker rather than failing the whole
-        // envelope's parse. Keeps the two transports byte-identical.
-        let reply: Vec<u8> = if let Some(items) = proto::split_batch_items(&payload) {
-            handle_batch(items, shared, home)
-        } else {
-            match Request::parse(&payload) {
-                Err(msg) => {
-                    ServerStats::bump(&shared.stats.errors);
-                    proto::error_reply(&msg)
-                }
-                Ok(Request::Submit(req)) => handle_submit(*req, shared, home),
-                Ok(Request::Batch(items)) => handle_batch(items, shared, home),
-                Ok(req) => inline_reply(shared, &req).expect("non-submit verbs answer inline"),
-            }
-        };
-        proto::write_frame(&mut stream, &reply)?;
-    }
-}
-
-/// Enqueue a submit and wait for its reply (or reject/timeout).
-///
-/// Accounting contract: `stats.submitted` is bumped on entry, and
-/// exactly one of `submit_ok` / `submit_errors` / `rejected_overload`
-/// before returning — so at quiescence the ledger in
-/// [`crate::stats::Accounting`] balances.
-fn handle_submit(req: SubmitRequest, shared: &Shared, home: usize) -> Vec<u8> {
-    ServerStats::bump(&shared.stats.submitted);
-    if shared.draining() {
-        ServerStats::bump(&shared.stats.errors);
-        ServerStats::bump(&shared.stats.submit_errors);
-        return proto::error_reply("server is draining");
-    }
-    let (tx, rx) = mpsc::channel();
-    let job = Job {
-        kind: JobKind::Submit(Box::new(req)),
-        reply: ReplyTo::Channel(tx),
-        enqueued: Instant::now(),
-    };
-    if shared.enqueue(job, home).is_err() {
-        ServerStats::bump(&shared.stats.rejected_overload);
-        return proto::overloaded_reply();
-    }
-    ServerStats::bump(&shared.stats.accepted);
-    let timeout = shared.hooks.skewed(shared.config.request_timeout);
-    match rx.recv_timeout(timeout) {
-        Ok(json) => {
-            let ok = json.get("status").and_then(Json::as_str) == Some("ok");
-            ServerStats::bump(if ok {
-                &shared.stats.submit_ok
-            } else {
-                &shared.stats.submit_errors
-            });
-            json.encode().into_bytes()
-        }
-        Err(_) => {
-            ServerStats::bump(&shared.stats.timeouts);
-            ServerStats::bump(&shared.stats.submit_errors);
-            proto::error_reply("request timed out")
-        }
-    }
-}
-
 /// The reply to an empty `submit_batch` (answered without a worker).
 fn empty_batch_reply() -> Vec<u8> {
     obj(vec![
@@ -752,39 +505,6 @@ fn empty_batch_reply() -> Vec<u8> {
     .into_bytes()
 }
 
-/// Enqueue a whole batch as one job and wait for its envelope reply.
-///
-/// The per-item accounting (submitted / submit_ok / submit_errors)
-/// happens inside [`run_batch`] on the worker, so the envelope path
-/// touches no ledger counters: a batch rejected for overload was never
-/// `submitted`, keeping the ledger balanced.
-fn handle_batch(items: Vec<Vec<u8>>, shared: &Shared, home: usize) -> Vec<u8> {
-    if items.is_empty() {
-        return empty_batch_reply();
-    }
-    if shared.draining() {
-        ServerStats::bump(&shared.stats.errors);
-        return proto::error_reply("server is draining");
-    }
-    let (tx, rx) = mpsc::channel();
-    let job = Job {
-        kind: JobKind::Batch(items),
-        reply: ReplyTo::Channel(tx),
-        enqueued: Instant::now(),
-    };
-    if shared.enqueue(job, home).is_err() {
-        return proto::overloaded_reply();
-    }
-    let timeout = shared.hooks.skewed(shared.config.request_timeout);
-    match rx.recv_timeout(timeout) {
-        Ok(json) => json.encode().into_bytes(),
-        Err(_) => {
-            ServerStats::bump(&shared.stats.timeouts);
-            proto::error_reply("request timed out")
-        }
-    }
-}
-
 /// Run one request handler with panic containment: a panicking handler
 /// becomes a structured `error` reply instead of killing the calling
 /// worker thread. Without this, each panic would permanently shrink
@@ -793,16 +513,7 @@ fn handle_batch(items: Vec<Vec<u8>>, shared: &Shared, home: usize) -> Vec<u8> {
 fn catch_panic_reply(f: impl FnOnce() -> Json + std::panic::UnwindSafe) -> (Json, bool) {
     match std::panic::catch_unwind(f) {
         Ok(reply) => (reply, false),
-        Err(_) => (
-            obj(vec![
-                ("status", Json::Str("error".into())),
-                (
-                    "error",
-                    Json::Str("internal error: request handler panicked".into()),
-                ),
-            ]),
-            true,
-        ),
+        Err(_) => (error_json("internal error: request handler panicked"), true),
     }
 }
 
@@ -836,14 +547,14 @@ fn run_submit(shared: &Shared, state: &mut WorkerState, req: &SubmitRequest) -> 
     };
     // Graph-cache counters are per-context; publish deltas into the
     // shared stats so the totals survive a post-panic context reset.
-    shared
-        .stats
-        .graph_cache_hits
-        .fetch_add(state.ctx.graph_cache_hits() - state.seen_hits, Ordering::Relaxed);
-    shared
-        .stats
-        .graph_cache_misses
-        .fetch_add(state.ctx.graph_cache_misses() - state.seen_misses, Ordering::Relaxed);
+    shared.stats.graph_cache_hits.fetch_add(
+        state.ctx.graph_cache_hits() - state.seen_hits,
+        Ordering::Relaxed,
+    );
+    shared.stats.graph_cache_misses.fetch_add(
+        state.ctx.graph_cache_misses() - state.seen_misses,
+        Ordering::Relaxed,
+    );
     state.seen_hits = state.ctx.graph_cache_hits();
     state.seen_misses = state.ctx.graph_cache_misses();
     if panicked {
@@ -866,7 +577,12 @@ fn run_submit(shared: &Shared, state: &mut WorkerState, req: &SubmitRequest) -> 
 /// treatment (`submitted`/`accepted` on entry, `submit_ok` /
 /// `submit_errors` by status); inline verbs answer exactly as they
 /// would standalone; nested batches are refused.
-fn run_batch_item(shared: &Shared, state: &mut WorkerState, item: &[u8], enqueued: Instant) -> Json {
+fn run_batch_item(
+    shared: &Shared,
+    state: &mut WorkerState,
+    item: &[u8],
+    enqueued: Instant,
+) -> Json {
     match Request::parse(item) {
         Err(msg) => {
             ServerStats::bump(&shared.stats.errors);
@@ -900,31 +616,25 @@ fn run_batch_item(shared: &Shared, state: &mut WorkerState, item: &[u8], enqueue
 /// Execute a whole admitted batch on this worker. An admitted batch
 /// always runs to completion — drain waits for it like any other
 /// queued work — so every item's ledger entries resolve.
-fn run_batch(shared: &Shared, state: &mut WorkerState, items: &[Vec<u8>], enqueued: Instant) -> Json {
+fn run_batch(
+    shared: &Shared,
+    state: &mut WorkerState,
+    items: &[Vec<u8>],
+    enqueued: Instant,
+) -> Json {
     ServerStats::bump(&shared.stats.batches);
     shared
         .stats
         .batch_items
         .fetch_add(items.len() as u64, Ordering::Relaxed);
-    let mut results = Vec::with_capacity(items.len());
-    for item in items {
-        results.push(run_batch_item(shared, state, item, enqueued));
-    }
+    let results = items
+        .iter()
+        .map(|item| run_batch_item(shared, state, item, enqueued))
+        .collect();
     obj(vec![
         ("status", Json::Str("ok".into())),
         ("results", Json::Arr(results)),
     ])
-}
-
-/// Send a finished job's reply wherever it belongs.
-fn deliver(shared: &Shared, reply_to: ReplyTo, reply: Json) {
-    match reply_to {
-        ReplyTo::Channel(tx) => {
-            // A gone receiver (client timed out or hung up) is fine.
-            let _ = tx.send(reply);
-        }
-        ReplyTo::Loop(token) => shared.push_completion(Completion { token, reply }),
-    }
 }
 
 /// Pop the next job for worker `me`: own shard first, then steal from
@@ -958,22 +668,22 @@ fn worker_loop(shared: &Shared, me: usize) {
     while let Some(job) = next_job(shared, me) {
         let Job {
             kind,
-            reply,
+            token,
             enqueued,
         } = job;
-        let outcome = match kind {
+        let reply = match kind {
             JobKind::Submit(req) => {
-                let outcome = run_submit(shared, &mut state, &req);
+                let reply = run_submit(shared, &mut state, &req);
                 shared.stats.latency.record(enqueued.elapsed());
-                outcome
+                reply
             }
             JobKind::Batch(items) => run_batch(shared, &mut state, &items, enqueued),
         };
-        deliver(shared, reply, outcome);
+        shared.push_completion(Completion { token, reply });
     }
 }
 
-/// The non-blocking epoll transport: one thread multiplexing the
+/// The non-blocking epoll event loop: one thread multiplexing the
 /// listener, the worker wake pipe, and every client connection.
 #[cfg(target_os = "linux")]
 mod event_loop {
@@ -983,24 +693,42 @@ mod event_loop {
     };
     use crate::proto::{DecodeEvent, FrameDecoder};
     use std::collections::BTreeMap;
+    use std::io::Read;
+    use std::net::TcpStream;
     use std::os::unix::io::AsRawFd;
+    use std::os::unix::net::UnixStream;
 
     /// Epoll cookie of the listener.
     const LISTENER: u64 = 0;
     /// Epoll cookie of the wake pipe's read end.
     const WAKE: u64 = 1;
+    /// Connection ids double as epoll cookies, so they start after the
+    /// two reserved ones.
+    const FIRST_CONN_ID: u64 = 2;
+
+    /// A connection stops being read while its inbox holds this many
+    /// decoded frames (see [`Conn::backlogged`]).
+    const MAX_INBOX: usize = 64;
 
     /// Per-connection state: the socket, the incremental decoder, the
-    /// decoded-but-undispatched events, and the pending write buffer.
+    /// decoded-but-undispatched events, and the unsent replies.
     struct Conn {
         stream: TcpStream,
         decoder: FrameDecoder,
         inbox: VecDeque<DecodeEvent>,
         wbuf: Vec<u8>,
-        wpos: usize,
+        /// Unsent reply bytes at which reading stops: the configured
+        /// `max_frame`.
+        write_limit: usize,
+        /// When the frame now being decoded started arriving; `None`
+        /// between frames.
+        frame_since: Option<Instant>,
+        /// Reading stopped on a backlog before the socket ran dry, so
+        /// no new edge will fire for the bytes already queued:
+        /// [`EventLoop::pump`] resumes reading once the backlog clears.
+        read_paused: bool,
         /// A submit/batch is in flight; further frames wait in the
-        /// inbox so replies keep arrival order (same one-at-a-time
-        /// semantics as a connection thread).
+        /// inbox so replies keep arrival order.
         busy: bool,
         /// Finish the inbox and flush, then close (EOF seen, or a
         /// corrupt frame was answered).
@@ -1016,7 +744,9 @@ mod event_loop {
                 decoder: FrameDecoder::new(max_frame),
                 inbox: VecDeque::new(),
                 wbuf: Vec::new(),
-                wpos: 0,
+                write_limit: (max_frame as usize).max(1),
+                frame_since: None,
+                read_paused: false,
                 busy: false,
                 closing: false,
                 dead: false,
@@ -1025,10 +755,23 @@ mod event_loop {
 
         /// Nothing buffered in either direction and no frame underway.
         fn idle(&self) -> bool {
-            !self.busy
-                && self.inbox.is_empty()
-                && self.wpos == self.wbuf.len()
-                && !self.decoder.mid_frame()
+            !self.busy && self.inbox.is_empty() && self.wbuf.is_empty() && !self.decoder.mid_frame()
+        }
+
+        /// Too much decoded input or unsent output to read more: the
+        /// peer has to wait for dispatch, or read its replies, first.
+        fn backlogged(&self) -> bool {
+            self.inbox.len() >= MAX_INBOX || self.wbuf.len() >= self.write_limit
+        }
+
+        /// Half a frame has been waiting on the peer for longer than
+        /// [`FRAME_TIMEOUT`]. A paused connection is exempt: the wait
+        /// is then on us.
+        fn frame_expired(&self, now: Instant) -> bool {
+            !self.read_paused
+                && self
+                    .frame_since
+                    .is_some_and(|t| now.duration_since(t) >= FRAME_TIMEOUT)
         }
     }
 
@@ -1040,82 +783,15 @@ mod event_loop {
         is_batch: bool,
     }
 
-    struct EventLoop {
+    pub(super) struct EventLoop {
         shared: Arc<Shared>,
         poller: Poller,
+        listener: TcpListener,
+        wake_rx: UnixStream,
         conns: BTreeMap<u64, Conn>,
         pending: BTreeMap<u64, Pending>,
+        next_conn_id: u64,
         next_token: u64,
-    }
-
-    /// Run the readiness loop until a drain completes. Falls back to
-    /// the threads transport if epoll or the wake pipe cannot be set
-    /// up (containers with exotic seccomp filters).
-    pub(super) fn run(listener: TcpListener, shared: &Arc<Shared>) {
-        let Ok(poller) = Poller::new() else {
-            return accept_loop(&listener, shared);
-        };
-        let Ok((wake_rx, wake_tx)) = UnixStream::pair() else {
-            return accept_loop(&listener, shared);
-        };
-        let _ = wake_rx.set_nonblocking(true);
-        let _ = wake_tx.set_nonblocking(true);
-        shared.set_wake(wake_tx);
-        if poller.add(listener.as_raw_fd(), LISTENER, EPOLLIN).is_err()
-            || poller.add(wake_rx.as_raw_fd(), WAKE, EPOLLIN).is_err()
-        {
-            return accept_loop(&listener, shared);
-        }
-
-        let mut el = EventLoop {
-            shared: Arc::clone(shared),
-            poller,
-            conns: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            next_token: 0,
-        };
-        let mut accepting = true;
-        // The threads transport keeps serving a connection until its
-        // next idle read timeout fires (≤ IDLE_TICK) after a drain, so
-        // late drain-refusal requests still get answered; mirror that
-        // grace before closing idle connections, and force-close
-        // what's left after FRAME_TIMEOUT.
-        let mut idle_close_at: Option<Instant> = None;
-        let mut drain_deadline: Option<Instant> = None;
-        let mut events = [EpollEvent::zeroed(); 128];
-        loop {
-            let n = el.poller.wait(&mut events, IDLE_TICK).unwrap_or(0);
-            for ev in &events[..n] {
-                match ev.cookie() {
-                    LISTENER => el.accept_ready(&listener),
-                    WAKE => drain_wake(&wake_rx),
-                    id => el.on_conn_event(id, ev.mask()),
-                }
-            }
-            for done in el.shared.take_completions() {
-                el.settle(done);
-            }
-            let now = Instant::now();
-            el.expire(now);
-            if el.shared.draining() {
-                if accepting {
-                    accepting = false;
-                    el.poller.del(listener.as_raw_fd());
-                    idle_close_at = Some(now + IDLE_TICK);
-                    drain_deadline = Some(now + FRAME_TIMEOUT);
-                }
-                if idle_close_at.is_some_and(|t| now >= t) {
-                    el.close_idle();
-                }
-                if drain_deadline.is_some_and(|d| now >= d) {
-                    el.close_all();
-                }
-            }
-            el.reap();
-            if el.shared.draining() && el.conns.is_empty() && el.pending.is_empty() {
-                return;
-            }
-        }
     }
 
     /// Drain the wake pipe (level-triggered, so stale bytes would spin
@@ -1130,18 +806,36 @@ mod event_loop {
         }
     }
 
-    /// Read until `WouldBlock` (mandatory under edge-triggering) and
-    /// convert every decoded event into inbox entries.
+    /// Read until `WouldBlock` (mandatory under edge-triggering) or
+    /// until the connection is backlogged, and queue every decoded
+    /// event in the inbox.
     fn read_ready(conn: &mut Conn) {
+        if std::mem::take(&mut conn.read_paused) {
+            // The frame clock restarts: the pause was ours.
+            conn.frame_since = None;
+        }
         let mut buf = [0u8; 64 * 1024];
         let mut decoded = Vec::new();
         loop {
+            if conn.backlogged() {
+                conn.read_paused = true;
+                break;
+            }
             match conn.stream.read(&mut buf) {
                 Ok(0) => {
                     conn.closing = true;
                     break;
                 }
-                Ok(n) => conn.decoder.feed(&buf[..n], &mut decoded),
+                Ok(n) => {
+                    conn.decoder.feed(&buf[..n], &mut decoded);
+                    if !decoded.is_empty() || !conn.decoder.mid_frame() {
+                        conn.frame_since = None;
+                    }
+                    if conn.decoder.mid_frame() {
+                        conn.frame_since.get_or_insert_with(Instant::now);
+                    }
+                    conn.inbox.extend(decoded.drain(..));
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
@@ -1150,20 +844,21 @@ mod event_loop {
                 }
             }
         }
-        conn.inbox.extend(decoded);
     }
 
-    /// Write the buffered replies until `WouldBlock`; a drained buffer
-    /// on a closing connection finishes the close.
+    /// Write the buffered replies until `WouldBlock`, dropping what
+    /// was sent; a drained buffer on a closing connection finishes the
+    /// close.
     fn flush_io(conn: &mut Conn) {
-        while conn.wpos < conn.wbuf.len() {
-            match conn.stream.write(&conn.wbuf[conn.wpos..]) {
+        let mut sent = 0;
+        while sent < conn.wbuf.len() {
+            match conn.stream.write(&conn.wbuf[sent..]) {
                 Ok(0) => {
                     conn.dead = true;
                     return;
                 }
-                Ok(n) => conn.wpos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     conn.dead = true;
@@ -1171,19 +866,81 @@ mod event_loop {
                 }
             }
         }
-        conn.wbuf.clear();
-        conn.wpos = 0;
-        if conn.closing {
+        conn.wbuf.drain(..sent);
+        if conn.closing && conn.wbuf.is_empty() {
             conn.dead = true;
         }
     }
 
     impl EventLoop {
+        /// Create the poller and the wake pipe, hand the workers the
+        /// pipe's write end, and register the listener.
+        pub(super) fn new(listener: TcpListener, shared: &Arc<Shared>) -> io::Result<Self> {
+            let poller = Poller::new()?;
+            let (wake_rx, wake_tx) = UnixStream::pair()?;
+            wake_rx.set_nonblocking(true)?;
+            wake_tx.set_nonblocking(true)?;
+            poller.add(listener.as_raw_fd(), LISTENER, EPOLLIN)?;
+            poller.add(wake_rx.as_raw_fd(), WAKE, EPOLLIN)?;
+            *shared.wake.lock().expect("wake lock") = Some(Box::new(wake_tx));
+            Ok(Self {
+                shared: Arc::clone(shared),
+                poller,
+                listener,
+                wake_rx,
+                conns: BTreeMap::new(),
+                pending: BTreeMap::new(),
+                next_conn_id: FIRST_CONN_ID,
+                next_token: 0,
+            })
+        }
+
+        /// Run the readiness loop until a drain completes.
+        pub(super) fn run(mut self) {
+            // After a drain starts, idle connections get one IDLE_TICK
+            // of grace so requests already on the wire still draw their
+            // drain refusals; whatever is left after FRAME_TIMEOUT is
+            // force-closed.
+            let mut drain_started: Option<Instant> = None;
+            let mut events = [EpollEvent::zeroed(); 128];
+            loop {
+                let n = self.poller.wait(&mut events, IDLE_TICK).unwrap_or(0);
+                for ev in &events[..n] {
+                    match ev.cookie() {
+                        LISTENER => self.accept_ready(),
+                        WAKE => drain_wake(&self.wake_rx),
+                        id => self.on_conn_event(id, ev.mask()),
+                    }
+                }
+                for done in self.shared.take_completions() {
+                    self.settle(done);
+                }
+                let now = Instant::now();
+                self.expire(now);
+                if self.shared.draining() {
+                    let started = *drain_started.get_or_insert_with(|| {
+                        self.poller.del(self.listener.as_raw_fd());
+                        now
+                    });
+                    if now >= started + IDLE_TICK {
+                        self.close_idle();
+                    }
+                    if now >= started + FRAME_TIMEOUT {
+                        self.close_all();
+                    }
+                }
+                self.reap(now);
+                if self.shared.draining() && self.conns.is_empty() && self.pending.is_empty() {
+                    return;
+                }
+            }
+        }
+
         /// Accept until `WouldBlock`, registering each socket
         /// edge-triggered under a fresh connection id.
-        fn accept_ready(&mut self, listener: &TcpListener) {
+        fn accept_ready(&mut self) {
             loop {
-                match listener.accept() {
+                match self.listener.accept() {
                     Ok((stream, _peer)) => {
                         if self.shared.draining() {
                             continue; // dropped: refuse post-drain arrivals
@@ -1191,7 +948,8 @@ mod event_loop {
                         ServerStats::bump(&self.shared.stats.connections);
                         stream.set_nonblocking(true).ok();
                         stream.set_nodelay(true).ok();
-                        let id = self.shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
+                        let id = self.next_conn_id;
+                        self.next_conn_id += 1;
                         if self
                             .poller
                             .add(
@@ -1214,32 +972,30 @@ mod event_loop {
         }
 
         fn on_conn_event(&mut self, id: u64, mask: u32) {
-            let readable = mask & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0;
-            {
-                let Some(conn) = self.conns.get_mut(&id) else {
-                    return;
-                };
-                if readable {
-                    read_ready(conn);
-                }
-                if mask & EPOLLOUT != 0 {
-                    flush_io(conn);
-                }
+            let Some(conn) = self.conns.get_mut(&id) else {
+                return;
+            };
+            if mask & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 && !conn.read_paused {
+                read_ready(conn);
             }
-            if readable {
-                self.pump(id);
+            if mask & EPOLLOUT != 0 {
+                flush_io(conn);
             }
+            self.pump(id);
         }
 
         /// Dispatch inbox entries in arrival order until the
         /// connection goes busy (a submit in flight), closes, or runs
-        /// dry.
+        /// dry, resuming a paused read whenever the backlog clears.
         fn pump(&mut self, id: u64) {
             loop {
                 let ev = {
                     let Some(conn) = self.conns.get_mut(&id) else {
                         return;
                     };
+                    if conn.read_paused && !conn.backlogged() {
+                        read_ready(conn);
+                    }
                     if conn.busy || conn.dead {
                         return;
                     }
@@ -1276,19 +1032,26 @@ mod event_loop {
 
         fn dispatch_frame(&mut self, id: u64, payload: &[u8]) {
             // Fast path: recognize a batch without parsing the inner
-            // payloads — the worker parses items, not the loop.
-            if let Some(items) = proto::split_batch_items(payload) {
-                self.dispatch_batch(id, items);
-                return;
-            }
-            match Request::parse(payload) {
-                Err(msg) => {
-                    ServerStats::bump(&self.shared.stats.errors);
-                    self.queue_reply(id, &proto::error_reply(&msg));
+            // payloads, so a garbage *item* draws a per-item error on
+            // the worker rather than failing the whole envelope.
+            let req = match proto::split_batch_items(payload) {
+                Some(items) => Request::Batch(items),
+                None => match Request::parse(payload) {
+                    Ok(req) => req,
+                    Err(msg) => {
+                        ServerStats::bump(&self.shared.stats.errors);
+                        self.queue_reply(id, &proto::error_reply(&msg));
+                        return;
+                    }
+                },
+            };
+            match req {
+                Request::Submit(req) => self.dispatch(id, JobKind::Submit(req)),
+                Request::Batch(items) if items.is_empty() => {
+                    self.queue_reply(id, &empty_batch_reply());
                 }
-                Ok(Request::Submit(req)) => self.dispatch_submit(id, req),
-                Ok(Request::Batch(items)) => self.dispatch_batch(id, items),
-                Ok(req) => {
+                Request::Batch(items) => self.dispatch(id, JobKind::Batch(items)),
+                req => {
                     let reply =
                         inline_reply(&self.shared, &req).expect("non-submit verbs answer inline");
                     self.queue_reply(id, &reply);
@@ -1296,68 +1059,45 @@ mod event_loop {
             }
         }
 
-        /// Same ledger contract as [`handle_submit`], with the
-        /// `recv_timeout` replaced by a pending-token deadline.
-        fn dispatch_submit(&mut self, id: u64, req: Box<SubmitRequest>) {
-            ServerStats::bump(&self.shared.stats.submitted);
+        /// Hand a submit or a non-empty batch to the worker pool.
+        ///
+        /// Accounting contract: a submit bumps `stats.submitted` on
+        /// entry and exactly one of `submit_ok` / `submit_errors` /
+        /// `rejected_overload` by the time it is answered, so at
+        /// quiescence the ledger in [`crate::stats::Accounting`]
+        /// balances. A batch envelope touches no ledger counter: its
+        /// items are accounted on the worker by [`run_batch`], and a
+        /// batch refused here was never `submitted`.
+        fn dispatch(&mut self, id: u64, kind: JobKind) {
+            let is_batch = matches!(kind, JobKind::Batch(_));
+            let stats = &self.shared.stats;
+            if !is_batch {
+                ServerStats::bump(&stats.submitted);
+            }
             if self.shared.draining() {
-                ServerStats::bump(&self.shared.stats.errors);
-                ServerStats::bump(&self.shared.stats.submit_errors);
+                ServerStats::bump(&stats.errors);
+                if !is_batch {
+                    ServerStats::bump(&stats.submit_errors);
+                }
                 self.queue_reply(id, &proto::error_reply("server is draining"));
                 return;
             }
             let token = self.next_token;
             self.next_token += 1;
-            let home = home_shard(&self.shared, id);
             let job = Job {
-                kind: JobKind::Submit(req),
-                reply: ReplyTo::Loop(token),
-                enqueued: Instant::now(),
-            };
-            if self.shared.enqueue(job, home).is_err() {
-                ServerStats::bump(&self.shared.stats.rejected_overload);
-                self.queue_reply(id, &proto::overloaded_reply());
-                return;
-            }
-            ServerStats::bump(&self.shared.stats.accepted);
-            let deadline =
-                Instant::now() + self.shared.hooks.skewed(self.shared.config.request_timeout);
-            self.pending.insert(
+                kind,
                 token,
-                Pending {
-                    conn: id,
-                    deadline,
-                    is_batch: false,
-                },
-            );
-            if let Some(conn) = self.conns.get_mut(&id) {
-                conn.busy = true;
-            }
-        }
-
-        /// Same envelope contract as [`handle_batch`]: no ledger
-        /// counters here — items are accounted on the worker.
-        fn dispatch_batch(&mut self, id: u64, items: Vec<Vec<u8>>) {
-            if items.is_empty() {
-                self.queue_reply(id, &empty_batch_reply());
-                return;
-            }
-            if self.shared.draining() {
-                ServerStats::bump(&self.shared.stats.errors);
-                self.queue_reply(id, &proto::error_reply("server is draining"));
-                return;
-            }
-            let token = self.next_token;
-            self.next_token += 1;
-            let home = home_shard(&self.shared, id);
-            let job = Job {
-                kind: JobKind::Batch(items),
-                reply: ReplyTo::Loop(token),
                 enqueued: Instant::now(),
             };
-            if self.shared.enqueue(job, home).is_err() {
+            if self.shared.enqueue(job, id).is_err() {
+                if !is_batch {
+                    ServerStats::bump(&stats.rejected_overload);
+                }
                 self.queue_reply(id, &proto::overloaded_reply());
                 return;
+            }
+            if !is_batch {
+                ServerStats::bump(&stats.accepted);
             }
             let deadline =
                 Instant::now() + self.shared.hooks.skewed(self.shared.config.request_timeout);
@@ -1366,7 +1106,7 @@ mod event_loop {
                 Pending {
                     conn: id,
                     deadline,
-                    is_batch: true,
+                    is_batch,
                 },
             );
             if let Some(conn) = self.conns.get_mut(&id) {
@@ -1375,8 +1115,7 @@ mod event_loop {
         }
 
         /// A worker completion arrived. A token no longer pending
-        /// already timed out — the late reply is dropped, exactly like
-        /// the gone `mpsc` receiver in the threads transport.
+        /// already timed out, so the late reply is dropped.
         fn settle(&mut self, done: Completion) {
             let Some(p) = self.pending.remove(&done.token) else {
                 return;
@@ -1392,8 +1131,7 @@ mod event_loop {
             self.finish(p.conn, &done.reply.encode().into_bytes());
         }
 
-        /// Time out every pending request whose deadline passed,
-        /// mirroring the `recv_timeout` arm of [`handle_submit`] (the
+        /// Time out every pending request whose deadline passed (the
         /// worker still finishes the job; its completion will be
         /// dropped as late).
         fn expire(&mut self, now: Instant) {
@@ -1439,8 +1177,7 @@ mod event_loop {
             flush_io(conn);
         }
 
-        /// On drain, close connections with nothing in flight (the
-        /// threads transport closes them from `sniff_first_byte`).
+        /// On drain, close connections with nothing in flight.
         fn close_idle(&mut self) {
             for conn in self.conns.values_mut() {
                 if conn.idle() {
@@ -1456,27 +1193,40 @@ mod event_loop {
             }
         }
 
-        /// Promote finished closes, then deregister and drop dead
-        /// connections (dropping the socket closes the fd).
-        fn reap(&mut self) {
-            for conn in self.conns.values_mut() {
-                if conn.closing && !conn.busy && conn.inbox.is_empty() && conn.wpos == conn.wbuf.len()
-                {
-                    conn.dead = true;
+        /// Promote finished closes and expired frames, then deregister
+        /// and drop dead connections (dropping the socket closes the
+        /// fd).
+        fn reap(&mut self, now: Instant) {
+            let poller = &self.poller;
+            self.conns.retain(|_, conn| {
+                let finished =
+                    conn.closing && !conn.busy && conn.inbox.is_empty() && conn.wbuf.is_empty();
+                if conn.dead || finished || conn.frame_expired(now) {
+                    poller.del(conn.stream.as_raw_fd());
+                    return false;
                 }
-            }
-            let dead: Vec<u64> = self
-                .conns
-                .iter()
-                .filter(|(_, c)| c.dead)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in dead {
-                if let Some(conn) = self.conns.remove(&id) {
-                    self.poller.del(conn.stream.as_raw_fd());
-                }
-            }
+                true
+            });
         }
+    }
+}
+
+/// Off Linux there is no `epoll(7)`, so the daemon cannot start.
+#[cfg(not(target_os = "linux"))]
+mod event_loop {
+    use super::{io, Arc, Shared, TcpListener};
+
+    pub(super) struct EventLoop;
+
+    impl EventLoop {
+        pub(super) fn new(_: TcpListener, _: &Arc<Shared>) -> io::Result<Self> {
+            Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "the moldable-serve event loop needs epoll(7), which only Linux has",
+            ))
+        }
+
+        pub(super) fn run(self) {}
     }
 }
 

@@ -469,3 +469,109 @@ fn chrome_trace_output_parses_with_serve_json() {
     // Round-trip: re-encoding still parses.
     assert!(json::parse(&v.encode()).is_ok());
 }
+
+#[test]
+fn a_client_that_never_reads_its_replies_is_throttled_then_resumed() {
+    // Pipelined pings whose replies are never read: the daemon must
+    // stop reading the connection once its unsent replies pile up, so
+    // the client's own writes block long before 64 MiB is sent.
+    const BUDGET: usize = 64 << 20;
+    let server = ephemeral(ServerConfig::default());
+    let addr = server.local_addr().to_string();
+    let mut frame = Vec::new();
+    proto::write_frame(&mut frame, &Request::Ping.encode()).unwrap();
+    let chunk = frame.repeat(4096);
+
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_write_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    let mut sent = 0;
+    let mut in_chunk = 0;
+    let mut blocked = false;
+    while sent < BUDGET {
+        match stream.write(&chunk[in_chunk..]) {
+            Ok(n) => {
+                sent += n;
+                in_chunk = (in_chunk + n) % chunk.len();
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                blocked = true;
+                break;
+            }
+            Err(e) => panic!("write failed after {sent} bytes: {e}"),
+        }
+    }
+    assert!(
+        blocked,
+        "the daemon swallowed {sent} bytes of pings without backpressure"
+    );
+
+    // Other clients are still served meanwhile.
+    let mut other = Client::connect(&addr).unwrap();
+    let pong = other.call(&Request::Ping).unwrap();
+    assert_eq!(pong.get("pong").unwrap().as_bool(), Some(true));
+
+    // Reading the replies lets the stalled connection resume: finish
+    // the partly sent chunk and every ping gets its pong, in order.
+    let unsent = (chunk.len() - in_chunk) % chunk.len();
+    let frames = (sent + unsent) / frame.len();
+    let mut reader = stream.try_clone().unwrap();
+    let drain = std::thread::spawn(move || {
+        reader
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        for i in 0..frames {
+            let reply = proto::read_frame(&mut reader, proto::ABSOLUTE_MAX_FRAME)
+                .unwrap_or_else(|e| panic!("reply {i} of {frames}: {e}"))
+                .expect("connection closed early");
+            let reply = json::parse(std::str::from_utf8(&reply).unwrap()).unwrap();
+            assert_eq!(reply.get("pong").and_then(json::Json::as_bool), Some(true));
+        }
+    });
+    stream
+        .set_write_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(&chunk[chunk.len() - unsent..]).unwrap();
+    drain.join().expect("every pipelined ping answered");
+    drop(stream);
+    server.trigger_drain();
+    server.join();
+}
+
+#[test]
+fn a_frame_stalled_mid_prefix_is_closed_after_the_frame_timeout() {
+    // Two bytes of a length prefix, then silence: the daemon closes the
+    // connection once the frame has been arriving for FRAME_TIMEOUT
+    // (10 s), instead of holding it open forever.
+    let server = ephemeral(ServerConfig::default());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.write_all(&[0, 0]).unwrap();
+    let t0 = std::time::Instant::now();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(11)))
+        .unwrap();
+    let mut buf = [0u8; 16];
+    match stream.read(&mut buf) {
+        Ok(0) => {}
+        Ok(n) => panic!("unexpected {n}-byte reply to half a prefix"),
+        Err(e) => assert_eq!(
+            e.kind(),
+            std::io::ErrorKind::ConnectionReset,
+            "still open after {:?}",
+            t0.elapsed()
+        ),
+    }
+    let waited = t0.elapsed();
+    assert!(
+        waited >= Duration::from_secs(9),
+        "closed too early: {waited:?}"
+    );
+    server.trigger_drain();
+    server.join();
+}

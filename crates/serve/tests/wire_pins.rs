@@ -1,15 +1,12 @@
-//! Transport equivalence: every observable behaviour of the daemon —
-//! structured replies, backpressure, drain refusals, frame-error
-//! handling, connection lifecycle, session verbs — must be identical
-//! through the epoll event loop and the legacy thread-per-connection
-//! transport. Each test replays the same wire script against one
-//! server per transport and diffs the raw reply bytes (the strongest
-//! possible comparison: bit-equal makespans fall out of byte-equal
-//! replies).
-//!
-//! On non-Linux targets `Transport::Epoll` falls back to the threaded
-//! acceptor, so these tests degenerate to self-comparison there; the
-//! real diff runs on Linux (CI).
+//! Wire pins: every observable behaviour of the daemon — structured
+//! replies, backpressure, drain refusals, frame-error handling,
+//! connection lifecycle, session verbs — replayed as fixed wire
+//! scripts. Each script's raw reply bytes must be identical with one
+//! worker and with four, and must hash to a pinned FNV-1a-64 value
+//! (the strongest possible comparison: bit-equal makespans fall out of
+//! byte-equal replies). The pins were recorded from the
+//! thread-per-connection transport and the epoll loop when both still
+//! existed and agreed byte for byte.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -17,16 +14,16 @@ use std::time::Duration;
 
 use moldable_serve::json::Json;
 use moldable_serve::proto::{self, GraphSpec, Request, SubmitRequest};
-use moldable_serve::server::{Server, ServerConfig, Transport};
+use moldable_serve::server::{Server, ServerConfig};
 use moldable_serve::{Accounting, WorkerContext};
 
-const TRANSPORTS: [Transport; 2] = [Transport::Epoll, Transport::Threads];
+/// Every script runs once per worker count; the transcripts must agree.
+const WORKER_COUNTS: [usize; 2] = [1, 4];
 
-fn start(transport: Transport, tweak: impl Fn(&mut ServerConfig)) -> Server {
+fn start(workers: usize, tweak: impl Fn(&mut ServerConfig)) -> Server {
     let mut config = ServerConfig {
         addr: "127.0.0.1:0".into(),
-        workers: 2,
-        transport,
+        workers,
         ..ServerConfig::default()
     };
     tweak(&mut config);
@@ -68,15 +65,24 @@ fn read_reply(stream: &mut TcpStream) -> String {
     }
 }
 
-/// Run `script` once per transport and assert both transcripts are
-/// byte-identical.
-fn diff_transports(
+/// FNV-1a-64 over `bytes`.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Run `script` once per worker count, assert the transcripts are
+/// byte-identical, and assert their fingerprint (FNV-1a-64 over the
+/// replies joined by newlines) equals `pin`.
+fn assert_pinned(
+    pin: u64,
     tweak: impl Fn(&mut ServerConfig) + Copy,
     script: impl Fn(&Server, &str) -> Vec<String>,
 ) {
     let mut transcripts = Vec::new();
-    for transport in TRANSPORTS {
-        let server = start(transport, tweak);
+    for workers in WORKER_COUNTS {
+        let server = start(workers, tweak);
         let addr = server.local_addr().to_string();
         let transcript = script(&server, &addr);
         assert!(!transcript.is_empty(), "script produced no observations");
@@ -86,16 +92,23 @@ fn diff_transports(
         server.join();
         transcripts.push(transcript);
     }
-    let (epoll, threads) = (&transcripts[0], &transcripts[1]);
     assert_eq!(
-        epoll, threads,
-        "epoll and threads transports disagree on the same wire script"
+        transcripts[0], transcripts[1],
+        "1 and {} workers disagree on the same wire script",
+        WORKER_COUNTS[1]
+    );
+    let got = fnv1a(transcripts[0].join("\n").into_bytes());
+    assert_eq!(
+        got, pin,
+        "transcript fingerprint {got:#018x} != pinned {pin:#018x}; transcript:\n{:#?}",
+        transcripts[0]
     );
 }
 
 #[test]
-fn smoke_corpus_replies_are_byte_identical() {
-    diff_transports(
+fn smoke_corpus_replies_are_pinned() {
+    assert_pinned(
+        0x6012_0c78_75eb_59a7,
         |_| {},
         |_, addr| {
             let mut stream = TcpStream::connect(addr).expect("connect");
@@ -117,8 +130,9 @@ fn smoke_corpus_replies_are_byte_identical() {
 }
 
 #[test]
-fn batch_frames_are_byte_identical_including_mixed_errors() {
-    diff_transports(
+fn batch_frames_are_pinned_including_mixed_errors() {
+    assert_pinned(
+        0xf4c7_6658_aa08_8569,
         |_| {},
         |_, addr| {
             let mut stream = TcpStream::connect(addr).expect("connect");
@@ -146,8 +160,9 @@ fn batch_frames_are_byte_identical_including_mixed_errors() {
 }
 
 #[test]
-fn overload_backpressure_is_byte_identical() {
-    diff_transports(
+fn overload_backpressure_is_pinned() {
+    assert_pinned(
+        0xcbe0_af15_8355_c64f,
         |c| c.queue_cap = 0,
         |_, addr| {
             let mut stream = TcpStream::connect(addr).expect("connect");
@@ -167,8 +182,9 @@ fn overload_backpressure_is_byte_identical() {
 }
 
 #[test]
-fn drain_refusals_are_byte_identical() {
-    diff_transports(
+fn drain_refusals_are_pinned() {
+    assert_pinned(
+        0xf821_3d5e_69a4_bba8,
         |_| {},
         |server, addr| {
             let mut stream = TcpStream::connect(addr).expect("connect");
@@ -176,8 +192,7 @@ fn drain_refusals_are_byte_identical() {
             let mut out = Vec::new();
             out.push(roundtrip(&mut stream, &submit(2).encode()));
             server.trigger_drain();
-            // Refusals arrive inside the drain grace window on both
-            // transports.
+            // Refusals arrive inside the drain grace window.
             out.push(roundtrip(&mut stream, &submit(2).encode()));
             out.push(roundtrip(
                 &mut stream,
@@ -189,10 +204,11 @@ fn drain_refusals_are_byte_identical() {
 }
 
 #[test]
-fn frame_errors_are_byte_identical_and_close_policy_matches() {
+fn frame_errors_and_close_policy_are_pinned() {
     // Oversized (within the absolute ceiling): error reply, connection
     // survives. Implausible length: final error reply, then close.
-    diff_transports(
+    assert_pinned(
+        0x0d69_dd70_be43_87f9,
         |c| c.max_frame = 128,
         |_, addr| {
             let mut out = Vec::new();
@@ -228,8 +244,9 @@ fn frame_errors_are_byte_identical_and_close_policy_matches() {
 }
 
 #[test]
-fn session_verbs_are_byte_identical() {
-    diff_transports(
+fn session_verbs_are_pinned() {
+    assert_pinned(
+        0xd463_b6d6_c105_2377,
         |_| {},
         |_, addr| {
             let mut stream = TcpStream::connect(addr).expect("connect");
@@ -267,8 +284,9 @@ fn session_verbs_are_byte_identical() {
 }
 
 #[test]
-fn one_byte_at_a_time_torture_is_byte_identical() {
-    diff_transports(
+fn one_byte_at_a_time_torture_is_pinned() {
+    assert_pinned(
+        0x8443_8618_5b4a_c7f5,
         |_| {},
         |_, addr| {
             let mut out = Vec::new();
@@ -282,7 +300,9 @@ fn one_byte_at_a_time_torture_is_byte_identical() {
             for payload in frames {
                 let mut frame = Vec::with_capacity(4 + payload.len());
                 frame.extend_from_slice(
-                    &u32::try_from(payload.len()).expect("fits u32").to_be_bytes(),
+                    &u32::try_from(payload.len())
+                        .expect("fits u32")
+                        .to_be_bytes(),
                 );
                 frame.extend_from_slice(&payload);
                 // The decoder must survive maximal fragmentation: one
@@ -299,8 +319,8 @@ fn one_byte_at_a_time_torture_is_byte_identical() {
 }
 
 #[test]
-fn makespans_are_bit_equal_to_a_bare_worker_context() {
-    // The wire (either transport, plain or batched) must not perturb a
+fn batched_and_unbatched_makespans_are_bit_equal_to_a_bare_worker_context() {
+    // The wire (plain or batched, any worker count) must not perturb a
     // single scheduling decision relative to an in-process worker.
     let mut ctx = WorkerContext::new();
     let expected: Vec<f64> = (0..4)
@@ -312,9 +332,14 @@ fn makespans_are_bit_equal_to_a_bare_worker_context() {
             r.get("makespan").and_then(Json::as_f64).expect("makespan")
         })
         .collect();
+    let pin = fnv1a(expected.iter().flat_map(|m| m.to_bits().to_le_bytes()));
+    assert_eq!(
+        pin, 0xcc0c_2e71_de36_16db,
+        "bare WorkerContext makespans moved: {expected:?}"
+    );
 
-    for transport in TRANSPORTS {
-        let server = start(transport, |_| {});
+    for workers in WORKER_COUNTS {
+        let server = start(workers, |_| {});
         let addr = server.local_addr().to_string();
         let mut stream = TcpStream::connect(&addr).expect("connect");
         for (seed, want) in expected.iter().enumerate() {
@@ -324,7 +349,7 @@ fn makespans_are_bit_equal_to_a_bare_worker_context() {
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
-                "{transport:?}: seed {seed} diverged from WorkerContext"
+                "{workers} workers: seed {seed} diverged from WorkerContext"
             );
         }
         // Batched path too.
@@ -337,7 +362,7 @@ fn makespans_are_bit_equal_to_a_bare_worker_context() {
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
-                "{transport:?}: batched seed {seed} diverged"
+                "{workers} workers: batched seed {seed} diverged"
             );
         }
         server.trigger_drain();
@@ -347,13 +372,12 @@ fn makespans_are_bit_equal_to_a_bare_worker_context() {
 }
 
 #[test]
-fn accounting_ledgers_match_across_transports_at_quiescence() {
-    let mut ledgers = Vec::new();
-    for transport in TRANSPORTS {
+fn accounting_ledger_at_quiescence_is_pinned() {
+    for workers in WORKER_COUNTS {
         // Ample queue: whether a frame lands `overloaded` with a tiny
-        // queue depends on worker timing, and overload parity already
-        // has its own deterministic (cap 0) test above.
-        let server = start(transport, |_| {});
+        // queue depends on worker timing, and overload already has its
+        // own deterministic (cap 0) pin above.
+        let server = start(workers, |_| {});
         let addr = server.local_addr().to_string();
         let mut stream = TcpStream::connect(&addr).expect("connect");
         // A deterministic mixed diet: ok submits, a parse error, a
@@ -368,10 +392,10 @@ fn accounting_ledgers_match_across_transports_at_quiescence() {
         let stats = roundtrip(&mut stream, &Request::Stats.encode());
         let v = moldable_serve::json::parse(&stats).expect("stats json");
         let ledger = Accounting::from_stats_json(&v).expect("ledger");
-        assert!(ledger.balanced(), "{transport:?}: {ledger:?}");
+        assert!(ledger.balanced(), "{workers} workers: {ledger:?}");
         let body = v.get("stats").expect("stats body");
         let counter = |k: &str| body.get(k).and_then(Json::as_u64).expect(k);
-        ledgers.push((
+        let got = (
             ledger.submitted,
             ledger.ok,
             ledger.errors,
@@ -379,10 +403,11 @@ fn accounting_ledgers_match_across_transports_at_quiescence() {
             counter("batches"),
             counter("batch_items"),
             counter("errors"),
-        ));
+        );
+        // (submitted, ok, errors, drops, batches, batch_items, errors)
+        assert_eq!(got, (2, 2, 0, 0, 1, 2, 2), "{workers} workers");
         server.trigger_drain();
         drop(stream);
         server.join();
     }
-    assert_eq!(ledgers[0], ledgers[1], "ledger divergence across transports");
 }
