@@ -320,7 +320,7 @@ impl Default for RuleConfig {
             wallclock_allow_paths: v(&[
                 "crates/bench/",
                 "crates/serve/src/loadgen.rs",
-                "crates/serve/src/server",
+                "crates/serve/src/server/",
             ]),
             entropy_crates: v(&["cli", "serve"]),
             pure_crates: v(&[

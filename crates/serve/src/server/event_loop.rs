@@ -377,7 +377,7 @@ impl EventLoop {
     /// `rejected_overload` by the time it is answered, so at
     /// quiescence the ledger in [`crate::stats::Accounting`]
     /// balances. A batch envelope touches no ledger counter: its
-    /// items are accounted on the worker by [`run_batch`], and a
+    /// items are accounted on the worker by `workers::run_batch`, and a
     /// batch refused here was never `submitted`.
     fn dispatch(&mut self, id: u64, kind: JobKind) {
         let is_batch = matches!(kind, JobKind::Batch(_));

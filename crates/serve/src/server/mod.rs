@@ -284,7 +284,13 @@ impl Server {
             completions: Mutex::new(Vec::new()),
             wake: Mutex::new(None),
         });
+        // Start the loop before the workers, so it is already polling
+        // when the caller announces the address.
         let event_loop = event_loop::EventLoop::new(listener, &shared)?;
+        let event_loop = thread::Builder::new()
+            .name("serve-epoll".to_string())
+            .spawn(move || event_loop.run())
+            .expect("spawn event loop");
 
         let worker_handles = (0..workers)
             .map(|i| {
@@ -295,11 +301,6 @@ impl Server {
                     .expect("spawn worker")
             })
             .collect();
-
-        let event_loop = thread::Builder::new()
-            .name("serve-epoll".to_string())
-            .spawn(move || event_loop.run())
-            .expect("spawn event loop");
 
         Ok(Self {
             local_addr,
