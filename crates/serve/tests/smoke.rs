@@ -518,7 +518,7 @@ fn a_client_that_never_reads_its_replies_is_throttled_then_resumed() {
     assert_eq!(pong.get("pong").unwrap().as_bool(), Some(true));
 
     // Reading the replies lets the stalled connection resume: finish
-    // the partly sent chunk and every ping gets its pong, in order.
+    // the partly sent chunk and every ping gets its pong.
     let unsent = (chunk.len() - in_chunk) % chunk.len();
     let frames = (sent + unsent) / frame.len();
     let mut reader = stream.try_clone().unwrap();
