@@ -7,22 +7,19 @@
 //! ```
 //!
 //! Workloads:
-//! * `layered_1m_{legacy,batched}` — a 1 000 × 1 000 layered random
-//!   DAG (10^6 mixed general-model tasks, geometric-skip construction)
-//!   under the online scheduler on P = 256, simulated once by the
-//!   general per-task engine and once by the data-oriented batched
-//!   engine — identical makespans, so the ratio is pure engine
-//!   overhead (CI gates batched ≥ 2.5× legacy);
-//! * `thm6_communication_p1601_{legacy,batched}` — the Theorem 6
-//!   adversarial instance at P = 1601 (~868 k near-identical tasks,
-//!   the allocation-memoization stress case), both engines;
+//! * `layered_1m` — a 1 000 × 1 000 layered random DAG (10^6 mixed
+//!   general-model tasks, geometric-skip construction) under the
+//!   online scheduler on P = 256: every model is distinct, so the
+//!   allocation cache is bypassed after its first few thousand probes;
+//! * `thm6_communication_p1601` — the Theorem 6 adversarial instance
+//!   at P = 1601 (~868 k near-identical tasks, the allocation-memo and
+//!   run-grouping stress case);
 //! * `thm9_adaptive_l4` — the Theorem 9 adaptive chain adversary at
-//!   ℓ = 4 (P = 524 288, instance revealed task by task; adaptive
-//!   instances are inherently per-task, so legacy engine only);
-//! * `wide_50k_{indexed,reference}_queue`, `wide_50k_batched` —
-//!   50 000 independent tasks on P = 64, a deep-ready-queue stress run
-//!   under the default indexed queue, the reference sorted-`Vec` scan,
-//!   and the batched engine (identical makespans, different clocks);
+//!   ℓ = 4 (P = 524 288, instance revealed task by task);
+//! * `wide_50k_{indexed,reference}_queue` — 50 000 independent tasks
+//!   on P = 64, a deep-ready-queue stress run under the default indexed
+//!   queue and the reference sorted-`Vec` scan (identical makespans,
+//!   different clocks);
 //! * `serve_direct_500`, `serve_service_{cached,uncached}_500` — the
 //!   same 500 scheduling requests (cholesky size 6, P = 64, 16 seeds)
 //!   executed as bare generate+simulate and through the service layer
@@ -46,7 +43,7 @@ use moldable_graph::gen;
 use moldable_model::rng::StdRng;
 use moldable_model::sample::ParamDistribution;
 use moldable_model::ModelClass;
-use moldable_sim::{simulate, simulate_batched, simulate_instance, SimOptions};
+use moldable_sim::{simulate, simulate_instance, SimOptions};
 
 struct Measurement {
     name: &'static str,
@@ -69,50 +66,29 @@ impl Measurement {
     }
 }
 
-/// One graph, both engines: the legacy row carries the (one-time)
-/// build cost, the batched row reuses the graph so its `build_secs`
-/// is 0 by construction — the CI gate compares `sim_secs` only.
-fn engine_pair(
-    legacy_name: &'static str,
-    batched_name: &'static str,
+/// Simulate `g` once under `sched`; the row carries the graph's build
+/// cost next to the simulation's.
+fn online_run(
+    name: &'static str,
     g: &moldable_graph::TaskGraph,
     build_secs: f64,
     p_total: u32,
-    mk_sched: impl Fn() -> OnlineScheduler,
-) -> [Measurement; 2] {
-    let mut sched = mk_sched();
+    mut sched: OnlineScheduler,
+) -> Measurement {
     let t0 = Instant::now();
-    let legacy = simulate(g, &mut sched, &SimOptions::new(p_total)).expect("simulates");
-    let legacy_secs = t0.elapsed().as_secs_f64();
-    assert_eq!(legacy.placements.len(), g.n_tasks());
-
-    let mut sched = mk_sched();
-    let t1 = Instant::now();
-    let batched = simulate_batched(g, &mut sched, &SimOptions::new(p_total)).expect("simulates");
-    let batched_secs = t1.elapsed().as_secs_f64();
-    assert_eq!(
-        legacy.makespan, batched.makespan,
-        "{batched_name} diverged from {legacy_name}"
-    );
-    [
-        Measurement {
-            name: legacy_name,
-            n_tasks: g.n_tasks(),
-            build_secs,
-            sim_secs: legacy_secs,
-            makespan: legacy.makespan,
-        },
-        Measurement {
-            name: batched_name,
-            n_tasks: g.n_tasks(),
-            build_secs: 0.0,
-            sim_secs: batched_secs,
-            makespan: batched.makespan,
-        },
-    ]
+    let s = simulate(g, &mut sched, &SimOptions::new(p_total)).expect("simulates");
+    let sim_secs = t0.elapsed().as_secs_f64();
+    assert_eq!(s.placements.len(), g.n_tasks());
+    Measurement {
+        name,
+        n_tasks: g.n_tasks(),
+        build_secs,
+        sim_secs,
+        makespan: s.makespan,
+    }
 }
 
-fn layered_1m() -> [Measurement; 2] {
+fn layered_1m() -> Measurement {
     let p_total = 256;
     let t0 = Instant::now();
     let dist = ParamDistribution::default();
@@ -123,28 +99,21 @@ fn layered_1m() -> [Measurement; 2] {
     // Bernoulli draw per candidate edge (10^9 draws at this size).
     let g = gen::layered_random_sparse(1_000, 1_000, 0.002, &mut srng, &mut assign);
     let build_secs = t0.elapsed().as_secs_f64();
-    engine_pair(
-        "layered_1m_legacy",
-        "layered_1m_batched",
-        &g,
-        build_secs,
-        p_total,
-        || OnlineScheduler::for_class(ModelClass::General),
-    )
+    let sched = OnlineScheduler::for_class(ModelClass::General);
+    online_run("layered_1m", &g, build_secs, p_total, sched)
 }
 
-fn thm6_communication() -> [Measurement; 2] {
+fn thm6_communication() -> Measurement {
     let t0 = Instant::now();
     let inst = communication::instance(1601);
     let build_secs = t0.elapsed().as_secs_f64();
-    let mu = inst.mu;
-    engine_pair(
-        "thm6_communication_p1601_legacy",
-        "thm6_communication_p1601_batched",
+    let sched = OnlineScheduler::with_mu(inst.mu);
+    online_run(
+        "thm6_communication_p1601",
         &inst.graph,
         build_secs,
         inst.p_total,
-        || OnlineScheduler::with_mu(mu),
+        sched,
     )
 }
 
@@ -194,31 +163,6 @@ fn wide_50k(reference: bool) -> Measurement {
         } else {
             "wide_50k_indexed_queue"
         },
-        n_tasks: g.n_tasks(),
-        build_secs,
-        sim_secs,
-        makespan: s.makespan,
-    }
-}
-
-/// The same 50 000-task instance under the batched engine (indexed
-/// queue): deep-queue behaviour of the data-oriented hot path.
-fn wide_50k_batched() -> Measurement {
-    let p_total = 64;
-    let t0 = Instant::now();
-    let dist = ParamDistribution::default();
-    let mut mrng = StdRng::seed_from_u64(0x91DE);
-    let mut assign = gen::weighted_sampler(ModelClass::General, dist, p_total, &mut mrng);
-    let g = gen::independent(50_000, &mut assign);
-    let build_secs = t0.elapsed().as_secs_f64();
-
-    let mut sched = OnlineScheduler::for_class(ModelClass::General);
-    let t1 = Instant::now();
-    let s = simulate_batched(&g, &mut sched, &SimOptions::new(p_total)).expect("simulates");
-    let sim_secs = t1.elapsed().as_secs_f64();
-    assert_eq!(s.placements.len(), g.n_tasks());
-    Measurement {
-        name: "wide_50k_batched",
         n_tasks: g.n_tasks(),
         build_secs,
         sim_secs,
@@ -497,36 +441,31 @@ fn serve_epoll(batch: usize) -> Measurement {
 
 fn main() {
     println!("Engine throughput smoke test\n");
-    let mut runs = Vec::new();
-    runs.extend(layered_1m());
-    runs.extend(thm6_communication());
-    runs.push(thm9_adaptive());
-    runs.push(wide_50k(false));
-    runs.push(wide_50k(true));
-    runs.push(wide_50k_batched());
-    runs.push(graph_build(false));
-    runs.push(graph_build(true));
-    runs.push(serve_direct());
-    runs.push(serve_service(true));
-    runs.push(serve_service(false));
-    runs.push(serve_epoll(1));
-    runs.push(serve_epoll(32));
+    let runs = [
+        layered_1m(),
+        thm6_communication(),
+        thm9_adaptive(),
+        wide_50k(false),
+        wide_50k(true),
+        graph_build(false),
+        graph_build(true),
+        serve_direct(),
+        serve_service(true),
+        serve_service(false),
+        serve_epoll(1),
+        serve_epoll(32),
+    ];
     let by_name = |name: &str| {
         runs.iter()
             .find(|m| m.name == name)
             .unwrap_or_else(|| panic!("no run named {name}"))
     };
-    // Same instance, same decisions: only the queue implementation /
-    // engine (and therefore the wall clock) may differ between these.
+    // Same instance, same decisions: only the queue implementation
+    // (and therefore the wall clock) may differ between these.
     assert_eq!(
         by_name("wide_50k_indexed_queue").makespan,
         by_name("wide_50k_reference_queue").makespan,
         "queues must agree"
-    );
-    assert_eq!(
-        by_name("wide_50k_indexed_queue").makespan,
-        by_name("wide_50k_batched").makespan,
-        "engines must agree"
     );
     // The serve paths execute identical request streams: the wire and
     // service layers — and the frozen-graph cache — must not change a

@@ -190,8 +190,9 @@ impl AllocCache {
 
     /// Lifetime number of probes answered from the map. A hit rate of
     /// `hits / probes` near zero means every task carries a distinct
-    /// model and the cache is pure overhead — the batched scheduler
-    /// uses exactly this signal to switch to direct Algorithm 2 calls.
+    /// model and the cache is pure overhead — the online scheduler's
+    /// release path uses exactly this signal to switch to direct
+    /// Algorithm 2 calls.
     #[must_use]
     pub fn hits(&self) -> u64 {
         self.hits

@@ -2,9 +2,9 @@
 
 use std::collections::HashMap;
 
-use moldable_graph::{TaskGraph, TaskId};
+use moldable_graph::TaskId;
 use moldable_model::{ModelClass, SpeedupModel};
-use moldable_sim::{BatchScheduler, BatchStart, Scheduler};
+use moldable_sim::Scheduler;
 
 use crate::memo::AllocCache;
 use crate::ready_queue::{IndexedQueue, LinearQueue, ReadyItem, ReadyQueue};
@@ -30,6 +30,22 @@ use crate::{Allocation, QueuePolicy};
 /// [`OnlineScheduler::with_reference_queue`]; differential tests prove
 /// the two produce identical schedules.
 ///
+/// The simulation engine calls [`Scheduler::release`] once per task,
+/// so the scheduler, not the event loop, owns the fast path. Releasing
+/// a task takes two shortcuts before Algorithm 2, and neither can
+/// change a decision because [`crate::allocate`] is a pure function of
+/// `(model, P, μ, algo)`:
+///
+/// * **Run grouping.** Tasks revealed together frequently share a
+///   speedup model (chain bundles, adversarial phases, any graph built
+///   from a few weight classes). A model that is
+///   [`SpeedupModel::bitwise_eq`] to the previously released one
+///   reuses that decision without touching the cache.
+/// * **Cache bypass.** When every model is distinct (per-task sampled
+///   weights), the cache's hash-and-insert per release is pure
+///   overhead; once the observed hit rate proves it, Algorithm 2 runs
+///   directly (see `BYPASS_MIN_PROBES`).
+///
 /// `μ` is chosen per model class (Theorems 1–4) by
 /// [`OnlineScheduler::for_class`], or set explicitly with
 /// [`OnlineScheduler::with_mu`] for sweeps.
@@ -50,12 +66,14 @@ pub struct OnlineScheduler {
     /// [`OnlineScheduler::record_decisions`] so the default hot path
     /// does no per-task bookkeeping.
     decisions: Option<HashMap<TaskId, Allocation>>,
-    /// Adaptive cache bypass for the batched release path: set once the
-    /// observed [`AllocCache`] hit rate proves the workload's models
-    /// are (almost) all distinct, after which Algorithm 2 runs directly
-    /// — same decisions ([`crate::allocate`] is pure), no interning overhead.
+    /// Set once the observed [`AllocCache`] hit rate proves the
+    /// workload's models are (almost) all distinct, after which
+    /// Algorithm 2 runs directly.
     bypass_cache: bool,
-    /// Reused drain buffer for [`BatchScheduler::select_batch`].
+    /// The previously released model and its decision, reused when the
+    /// next model is bitwise-equal.
+    last: Option<(SpeedupModel, Allocation)>,
+    /// Reused drain buffer for `select_into`.
     scratch: Vec<ReadyItem>,
 }
 
@@ -71,13 +89,6 @@ impl QueueKind {
         match self {
             Self::Indexed(q) => q.push(item),
             Self::Linear(q) => q.push(item),
-        }
-    }
-
-    fn pop_first_fit(&mut self, free: u32) -> Option<ReadyItem> {
-        match self {
-            Self::Indexed(q) => q.pop_first_fit(free),
-            Self::Linear(q) => q.pop_first_fit(free),
         }
     }
 
@@ -138,6 +149,7 @@ impl OnlineScheduler {
             cache: None,
             decisions: None,
             bypass_cache: false,
+            last: None,
             scratch: Vec::new(),
         }
     }
@@ -221,27 +233,14 @@ impl OnlineScheduler {
         self.cache.take()
     }
 
-    /// Shared `init` of the per-task and batched driver traits.
-    fn init_impl(&mut self, p_total: u32) {
-        self.p_total = p_total;
-        self.bypass_cache = false;
-        let keep = self
-            .cache
-            .as_ref()
-            .is_some_and(|c| c.matches_algo(self.algo, p_total, self.mu));
-        if !keep {
-            self.cache = Some(AllocCache::for_algo(self.algo, p_total, self.mu));
-        }
-    }
-
-    /// Algorithm 2 for the batched release path: through the cache
-    /// until the observed hit rate proves the workload has (almost) no
-    /// repeat models, directly afterwards. [`crate::allocate`] is a pure
-    /// function of `(model, P, μ)`, so the switch can never change a
-    /// decision — it only stops paying a hash insert per distinct
-    /// model (on a million-task instance with per-task sampled work,
-    /// that insert is the single largest release cost).
-    fn allocate_batched(&mut self, model: &SpeedupModel) -> Allocation {
+    /// Algorithm 2 through the cache until the observed hit rate proves
+    /// the workload has (almost) no repeat models, directly afterwards.
+    /// [`crate::allocate`] is a pure function of `(model, P, μ)`, so the
+    /// switch can never change a decision — it only stops paying a hash
+    /// insert per distinct model (on a million-task instance with
+    /// per-task sampled work, that insert is the single largest release
+    /// cost).
+    fn allocate(&mut self, model: &SpeedupModel) -> Allocation {
         if self.bypass_cache {
             return self.algo.allocate(model, self.p_total, self.mu);
         }
@@ -260,8 +259,8 @@ impl OnlineScheduler {
     }
 }
 
-/// Probes an [`AllocCache`] must answer before the batched release
-/// path may conclude the cache is useless and bypass it. Large enough
+/// Probes an [`AllocCache`] must answer before the release path may
+/// conclude the cache is useless and bypass it. Large enough
 /// that every adversarial witness in the test corpus (thousands of
 /// tasks over a handful of models) warms the cache normally, small
 /// enough that a million-task sampled workload stops paying interning
@@ -270,14 +269,27 @@ const BYPASS_MIN_PROBES: u64 = 4096;
 
 impl Scheduler for OnlineScheduler {
     fn init(&mut self, p_total: u32) {
-        self.init_impl(p_total);
+        self.p_total = p_total;
+        self.bypass_cache = false;
+        self.last = None;
+        let keep = self
+            .cache
+            .as_ref()
+            .is_some_and(|c| c.matches_algo(self.algo, p_total, self.mu));
+        if !keep {
+            self.cache = Some(AllocCache::for_algo(self.algo, p_total, self.mu));
+        }
     }
 
     fn release(&mut self, task: TaskId, model: &SpeedupModel) {
         debug_assert!(self.p_total >= 1, "init must run before release");
-        let allocation = match self.cache.as_mut() {
-            Some(cache) => cache.allocate(model),
-            None => self.algo.allocate(model, self.p_total, self.mu),
+        let allocation = match &self.last {
+            Some((prev, allocation)) if prev.bitwise_eq(model) => *allocation,
+            _ => {
+                let allocation = self.allocate(model);
+                self.last = Some((model.clone(), allocation));
+                allocation
+            }
         };
         if let Some(d) = self.decisions.as_mut() {
             d.insert(task, allocation);
@@ -289,10 +301,6 @@ impl Scheduler for OnlineScheduler {
             task,
             alloc: allocation.capped,
             key,
-            dur,
-            // The per-task driver tracks release times itself (the
-            // `release` hook has no clock); see `ReadyItem::released`.
-            released: 0.0,
         });
     }
 
@@ -304,75 +312,10 @@ impl Scheduler for OnlineScheduler {
 
     fn select_into(&mut self, _now: f64, free: u32, out: &mut Vec<(TaskId, u32)>) {
         // List scheduling: start *every* waiting task that fits, in
-        // queue order (Algorithm 1, lines 7–11). Popping first fits
-        // until none remains is the same scan — free only shrinks, so
-        // a skipped task stays infeasible for this decision point.
-        let mut free = free;
-        while let Some(item) = self.queue.pop_first_fit(free) {
-            free -= item.alloc;
-            out.push((item.task, item.alloc));
-        }
-    }
-}
-
-/// The same Algorithm 1, driven by the data-oriented batched engine
-/// ([`moldable_sim::simulate_batched`]). Release order, queue keys,
-/// and start decisions are identical to the per-task [`Scheduler`]
-/// path — the differential suite in
-/// `moldable-sim/tests/batched_engine_equivalence.rs` pins this —
-/// but the batch form exposes two savings the per-task hooks cannot:
-///
-/// * **Weight-run grouping.** Tasks revealed by one event frequently
-///   share a speedup model (chain bundles, adversarial phases, any
-///   graph built from a few weight classes). Within a batch,
-///   consecutive tasks whose models are
-///   [`SpeedupModel::bitwise_eq`] reuse the previous Algorithm 2
-///   decision without touching the cache at all.
-/// * **Adaptive cache bypass.** When per-task sampled weights make
-///   every model distinct, the cache's hash-and-insert per release is
-///   pure overhead; the observed hit rate switches the path to direct
-///   [`crate::allocate`] calls (see `allocate_batched` below).
-impl BatchScheduler for OnlineScheduler {
-    fn init(&mut self, p_total: u32) {
-        self.init_impl(p_total);
-    }
-
-    fn release_batch(&mut self, graph: &TaskGraph, now: f64, tasks: &[TaskId]) {
-        debug_assert!(self.p_total >= 1, "init must run before release");
-        // Last distinct model seen in this batch and its decision.
-        let mut run: Option<(&SpeedupModel, Allocation)> = None;
-        for &task in tasks {
-            let model = graph.model(task);
-            let allocation = match run {
-                Some((prev, allocation)) if prev.bitwise_eq(model) => allocation,
-                _ => {
-                    let allocation = self.allocate_batched(model);
-                    run = Some((model, allocation));
-                    allocation
-                }
-            };
-            if let Some(d) = self.decisions.as_mut() {
-                d.insert(task, allocation);
-            }
-            let dur = model.time(allocation.capped);
-            let key = self.policy.key(dur, allocation.capped, self.seq);
-            self.seq += 1;
-            self.queue.push(ReadyItem {
-                task,
-                alloc: allocation.capped,
-                key,
-                dur,
-                released: now,
-            });
-        }
-    }
-
-    fn select_batch(&mut self, _now: f64, free: u32, out: &mut Vec<BatchStart>) {
-        // Same list-scheduling scan as `select_into`, emitting the
-        // duration and release time carried through the queue. The
-        // indexed queue drains a whole decision point in one
-        // compacting pass (`pop_fits_into`); the reference queue keeps
-        // the specification's pop-per-item loop.
+        // queue order (Algorithm 1, lines 7–11). Free only shrinks, so
+        // a skipped task stays infeasible for this decision point: the
+        // indexed queue drains the whole point in one compacting pass
+        // (`pop_fits_into`), the reference queue pops first fits.
         let mut free = free;
         self.scratch.clear();
         match &mut self.queue {
@@ -384,12 +327,7 @@ impl BatchScheduler for OnlineScheduler {
                 }
             }
         }
-        out.extend(self.scratch.iter().map(|item| BatchStart {
-            task: item.task,
-            procs: item.alloc,
-            dur: item.dur,
-            released: item.released,
-        }));
+        out.extend(self.scratch.iter().map(|item| (item.task, item.alloc)));
     }
 }
 
@@ -538,6 +476,25 @@ mod tests {
         let b = simulate(&g, &mut second, &SimOptions::new(16)).unwrap();
         assert_eq!(a.placements, b.placements);
         assert_eq!(second.take_alloc_cache().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn cache_is_bypassed_once_models_never_repeat() {
+        // Every task of a sampled General-class graph has its own
+        // model, so the cache answers no probe from its map; after
+        // `BYPASS_MIN_PROBES` releases Algorithm 2 runs directly and the
+        // probe count stops growing.
+        let mut rng = moldable_model::rng::StdRng::seed_from_u64(11);
+        let dist = moldable_model::sample::ParamDistribution::default();
+        let mut assign = gen::weighted_sampler(ModelClass::General, dist, 64, &mut rng);
+        let mut srng = moldable_model::rng::StdRng::seed_from_u64(12);
+        let g = gen::layered_random_sparse(10, 600, 0.01, &mut srng, &mut assign);
+        assert!(g.n_tasks() > 4096);
+        let mut s = OnlineScheduler::for_class(ModelClass::General);
+        let _ = simulate(&g, &mut s, &SimOptions::new(64)).unwrap();
+        let cache = s.take_alloc_cache().expect("init built a cache");
+        assert_eq!(cache.hits(), 0, "every model is distinct");
+        assert_eq!(cache.probes(), BYPASS_MIN_PROBES);
     }
 
     #[test]

@@ -41,8 +41,7 @@
 use moldable_graph::TaskId;
 use moldable_model::rng::splitmix64_next;
 
-/// One waiting task: identity, capped allocation, policy sort key, and
-/// the execution-time data the batched engine needs at start time.
+/// One waiting task: identity, capped allocation and policy sort key.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReadyItem {
     /// The waiting task.
@@ -52,16 +51,6 @@ pub struct ReadyItem {
     /// Policy sort key (primary, release-sequence tiebreak) — unique
     /// per item because the sequence number is.
     pub key: (f64, u64),
-    /// Execution time on `alloc` processors, `t_j(p'_j)` — computed
-    /// once at release (the policy key needs it anyway) and carried
-    /// through the queue so starting the task re-reads no model.
-    pub dur: f64,
-    /// Simulated time at which the task was released. The batched
-    /// engine reads this into the placement record; the general engine
-    /// keeps its own released-at column (its `release` hook predates
-    /// the field), so items pushed through [`crate::OnlineScheduler`]'s
-    /// per-task `release` carry `0.0` here.
-    pub released: f64,
 }
 
 fn key_lt(a: (f64, u64), b: (f64, u64)) -> bool {
@@ -480,7 +469,7 @@ impl ReadyQueue for IndexedQueue {
             let pos = self.small.iter().position(|it| it.alloc <= free)?;
             let item = self.small.remove(pos);
             // Single pops shift indices under the memo; drop it rather
-            // than track the shift (this path is not the batched drain).
+            // than track the shift (this path is not the decision-point drain).
             self.blocked_len = 0;
             self.len -= 1;
             if item.alloc == self.small_min {
@@ -520,8 +509,6 @@ mod tests {
             task: TaskId(u32::try_from(seq).unwrap()),
             alloc,
             key: (primary, seq),
-            dur: primary.abs(),
-            released: 0.0,
         }
     }
 

@@ -1,7 +1,8 @@
 //! Scheduler-algorithm registry.
 //!
 //! The repository implements two online algorithms for moldable task
-//! graphs behind the same `Scheduler`/`BatchScheduler` traits:
+//! graphs behind the one `Scheduler` trait, both driven by the same
+//! [`crate::OnlineScheduler`] and its release-path shortcuts:
 //!
 //! * [`AlgoName::Icpp22`] — the ICPP'22 algorithm of
 //!   Benoit–Perotin–Robert–Sun: Algorithm 2 *minimizes area* subject to

@@ -17,6 +17,14 @@
 //! also runs against the more general [`Instance`] trait, of which a
 //! [`moldable_graph::TaskGraph`] is the static special case.
 //!
+//! There is one engine, [`Stepper`]: [`simulate`] and
+//! [`simulate_instance`] run it to quiescence, and long-lived services
+//! advance it in slices. The loop costs little per event; the cost of
+//! a release or a decision point belongs to the scheduler, so a
+//! scheduler's fast path lives in its own [`Scheduler::release`] and
+//! [`Scheduler::select_into`] (as `moldable_core::OnlineScheduler`'s
+//! does), not in a second engine.
+//!
 //! # Example
 //!
 //! ```
@@ -51,7 +59,6 @@
 #![forbid(unsafe_code)]
 
 mod arrivals;
-mod batched;
 mod engine;
 mod gantt;
 mod procmap;
@@ -63,7 +70,9 @@ mod trace;
 mod validate;
 
 pub use arrivals::TimedArrivals;
-pub use batched::{simulate_batched, BatchScheduler, BatchStart};
+/// Alias of [`simulate`], kept only because the repository benchmark
+/// (`benchmark/`) calls it by this name.
+pub use engine::simulate as simulate_batched;
 pub use engine::{
     simulate, simulate_instance, GraphInstance, Instance, Scheduler, SimError, SimOptions,
 };

@@ -12,12 +12,15 @@
 //! Event semantics: events are ordered by `(time, start-sequence)`,
 //! and all completions at one instant retire as a batch: processors
 //! freed first, consequences revealed in completion order, timed
-//! arrivals drained, then a new decision point. The batched engine
-//! ([`crate::simulate_batched`]) implements the same contract and is
-//! held bit-identical to this one by
-//! `tests/batched_engine_equivalence.rs`. `tests` below pin this
-//! engine's placements to constants and check that many small slices
-//! give the same run as one jump.
+//! arrivals drained, then a new decision point. The loop itself is
+//! cheap; what a release or a decision point costs is the scheduler's
+//! business, so the online scheduler's fast path lives in its
+//! `release` and `select_into`, not here.
+//! `tests/online_schedule_pins.rs` pins the online scheduler's
+//! schedules on this engine to constants recorded while a second,
+//! batched engine agreed with it byte for byte; `tests` below pin
+//! FIFO placements and check that many small slices give the same
+//! run as one jump.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -26,17 +29,16 @@ use moldable_graph::TaskId;
 
 use crate::{Instance, Placement, ProcPool, Schedule, Scheduler, SimError, SimOptions};
 
-/// Completion event, shared with the batched engine. `idx` is the
-/// placement index, which is also the start sequence (placements are
-/// pushed in start order), so ordering by `(time, idx)` retires
-/// same-instant completions in start order. Task and processor count
+/// Completion event. `idx` is the placement index, which is also the
+/// start sequence (placements are pushed in start order), so ordering
+/// by `(time, idx)` retires same-instant completions in start order. Task and processor count
 /// ride along so retiring the event touches no other array.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Completion {
-    pub(crate) time: f64,
-    pub(crate) idx: u32,
-    pub(crate) task: TaskId,
-    pub(crate) procs: u32,
+struct Completion {
+    time: f64,
+    idx: u32,
+    task: TaskId,
+    procs: u32,
 }
 
 impl PartialEq for Completion {

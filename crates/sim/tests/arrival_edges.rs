@@ -1,27 +1,26 @@
-//! Arrival-order tie-breaks pinned bit-identically across engines.
+//! Arrival-order tie-breaks pinned bit-identically across instances.
 //!
-//! A batch of tasks sharing one release instant can be expressed three
-//! ways: as a [`TimedArrivals`] stream driven by the general engine,
-//! as an independent-tasks graph driven by the general engine, and as
-//! the same graph driven by the batched engine. All three must place
-//! every task with bit-equal `(start, end, procs, released)` — the
-//! revelation order for simultaneous arrivals (submission order) and
-//! the completion tie-break (start sequence) are part of the engine
-//! contract, not an accident of implementation. The incremental
-//! [`Stepper`] joins the pin as a fourth expression of the same run.
+//! A batch of tasks sharing one release instant can be expressed two
+//! ways: as a [`TimedArrivals`] stream and as an independent-tasks
+//! graph. Both must place every task with bit-equal `(start, end,
+//! procs, released)` — the revelation order for simultaneous arrivals
+//! (submission order) and the completion tie-break (start sequence)
+//! are part of the engine contract, not an accident of
+//! implementation. The incremental [`Stepper`] joins as a third
+//! expression of the same run, and the run's fingerprint is pinned to
+//! the value a since-deleted batched engine also produced.
 
-use moldable_graph::{GraphBuilder, TaskGraph, TaskId};
+use moldable_graph::{GraphBuilder, TaskId};
 use moldable_model::SpeedupModel;
 use moldable_sim::{
-    simulate, simulate_batched, simulate_instance, BatchScheduler, BatchStart, Placement,
-    Scheduler, SimOptions, Stepper, TimedArrivals,
+    simulate, simulate_instance, Placement, Scheduler, SimOptions, Stepper, TimedArrivals,
 };
 
 fn unit(w: f64) -> SpeedupModel {
     SpeedupModel::amdahl(w, 0.0).unwrap()
 }
 
-/// Greedy FIFO on one processor per task (general-engine form).
+/// Greedy FIFO on one processor per task.
 #[derive(Default)]
 struct Fifo {
     queue: std::collections::VecDeque<TaskId>,
@@ -34,30 +33,6 @@ impl Scheduler for Fifo {
     fn select(&mut self, _now: f64, free: u32) -> Vec<(TaskId, u32)> {
         let take = (free as usize).min(self.queue.len());
         self.queue.drain(..take).map(|t| (t, 1)).collect()
-    }
-}
-
-/// The same policy in batched form; durations are keyed at release,
-/// exactly as the contract demands.
-#[derive(Default)]
-struct BatchFifo {
-    queue: std::collections::VecDeque<BatchStart>,
-}
-
-impl BatchScheduler for BatchFifo {
-    fn release_batch(&mut self, graph: &TaskGraph, now: f64, tasks: &[TaskId]) {
-        for &t in tasks {
-            self.queue.push_back(BatchStart {
-                task: t,
-                procs: 1,
-                dur: graph.model(t).time(1),
-                released: now,
-            });
-        }
-    }
-    fn select_batch(&mut self, _now: f64, free: u32, out: &mut Vec<BatchStart>) {
-        let take = (free as usize).min(self.queue.len());
-        out.extend(self.queue.drain(..take));
     }
 }
 
@@ -76,6 +51,25 @@ fn fingerprint(placements: &[Placement]) -> Vec<(u32, u64, u64, u32, u64)> {
         .collect()
 }
 
+/// FNV-1a-64 over [`fingerprint`]'s fields, little-endian in
+/// placement order.
+fn fnv1a(placements: &[Placement]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for (task, start, end, procs, released) in fingerprint(placements) {
+        let bytes = task
+            .to_le_bytes()
+            .into_iter()
+            .chain(start.to_le_bytes())
+            .chain(end.to_le_bytes())
+            .chain(procs.to_le_bytes())
+            .chain(released.to_le_bytes());
+        for b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
 /// Work mix engineered so that many tasks finish at the same instant
 /// (durations repeat with period 4) — every simultaneous-completion
 /// tie-break and every simultaneous-arrival revelation is exercised.
@@ -83,8 +77,12 @@ fn tie_heavy_works(n: u32) -> Vec<f64> {
     (0..n).map(|i| 1.0 + f64::from(i % 4)).collect()
 }
 
+/// [`fnv1a`] of the tie-heavy run and its makespan bits, recorded
+/// when the batched engine still existed and agreed with it.
+const TIE_HEAVY_PIN: (u64, u64) = (0x479f_347b_62d0_f355, 0x403d_0000_0000_0000);
+
 #[test]
-fn arrival_tie_breaks_agree_across_legacy_batched_and_stepper() {
+fn arrival_tie_breaks_agree_across_arrivals_graph_and_stepper() {
     let n = 64;
     let p = 6;
     let works = tie_heavy_works(n);
@@ -99,7 +97,7 @@ fn arrival_tie_breaks_agree_across_legacy_batched_and_stepper() {
     )
     .unwrap();
 
-    // 2) The equivalent independent-tasks graph, general engine.
+    // 2) The equivalent independent-tasks graph.
     let mut b = GraphBuilder::new();
     for &w in &works {
         b.add_task(unit(w));
@@ -107,25 +105,21 @@ fn arrival_tie_breaks_agree_across_legacy_batched_and_stepper() {
     let graph = b.freeze();
     let via_graph = simulate(&graph, &mut Fifo::default(), &opts).unwrap();
 
-    // 3) Same graph, batched engine.
-    let via_batched = simulate_batched(&graph, &mut BatchFifo::default(), &opts).unwrap();
-
-    // 4) TimedArrivals again, incremental stepper.
+    // 3) TimedArrivals again, incremental stepper.
     let via_stepper = Stepper::new(TimedArrivals::new(releases), Fifo::default(), &opts)
         .finish()
         .unwrap();
 
     let reference = fingerprint(&via_arrivals.placements);
-    assert_eq!(
-        fingerprint(&via_graph.placements),
-        reference,
-        "graph/legacy"
-    );
-    assert_eq!(fingerprint(&via_batched.placements), reference, "batched");
+    assert_eq!(fingerprint(&via_graph.placements), reference, "graph");
     assert_eq!(fingerprint(&via_stepper.placements), reference, "stepper");
     assert_eq!(
-        via_arrivals.makespan.to_bits(),
-        via_batched.makespan.to_bits()
+        (
+            fnv1a(&via_arrivals.placements),
+            via_arrivals.makespan.to_bits()
+        ),
+        TIE_HEAVY_PIN,
+        "pinned run: {reference:?}"
     );
     assert_eq!(
         via_arrivals.makespan.to_bits(),
