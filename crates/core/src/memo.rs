@@ -10,7 +10,7 @@
 //!
 //! Keys are exact: closed-form models key on the *bit patterns* of
 //! their parameters (two models collide only if they are
-//! parameter-identical, in which case [`allocate`] returns the same
+//! parameter-identical, in which case [`allocate`](crate::allocate) returns the same
 //! decision); tables key on their full entry bit-pattern; closures key
 //! on the `Arc` pointer identity, with a clone of the `Arc` pinned in
 //! the cache so an address can never be recycled for a different
@@ -65,8 +65,8 @@ impl ModelKey {
     }
 }
 
-/// Memoized front-end to the local allocation ([`allocate`] or
-/// [`allocate_improved`], per [`AlgoName`]) for a fixed platform size
+/// Memoized front-end to the local allocation ([`allocate`](crate::allocate) or
+/// [`allocate_improved`](crate::allocate_improved), per [`AlgoName`]) for a fixed platform size
 /// and μ.
 #[derive(Debug)]
 pub struct AllocCache {
@@ -89,7 +89,7 @@ impl AllocCache {
     ///
     /// # Panics
     ///
-    /// Same contract as [`allocate`]: `μ ∈ (0, (3−√5)/2]`,
+    /// Same contract as [`allocate`](crate::allocate): `μ ∈ (0, (3−√5)/2]`,
     /// `p_total ≥ 1`.
     #[must_use]
     pub fn new(p_total: u32, mu: f64) -> Self {
@@ -104,7 +104,7 @@ impl AllocCache {
     ///
     /// # Panics
     ///
-    /// Same contract as [`allocate`]: `μ ∈ (0, (3−√5)/2]`,
+    /// Same contract as [`allocate`](crate::allocate): `μ ∈ (0, (3−√5)/2]`,
     /// `p_total ≥ 1`.
     #[must_use]
     pub fn for_algo(algo: AlgoName, p_total: u32, mu: f64) -> Self {

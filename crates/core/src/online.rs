@@ -22,10 +22,11 @@ use crate::{Allocation, QueuePolicy};
 /// classic list scheduling, which never idles `⌈μP⌉` processors while
 /// a task is waiting (the fact Lemma 4 rests on).
 ///
-/// The queue is an [`IndexedQueue`] (a treap tracking the minimum
-/// allocation per subtree): releasing a task costs O(log n) and a
-/// decision point that starts `k` tasks costs O((k+1) log n), instead
-/// of O(n) for both with the original sorted `Vec`. The original
+/// The queue is an [`IndexedQueue`] (a sorted buffer under a block-min
+/// tree, spilling into a treap tracking the minimum allocation per
+/// subtree): a FIFO release is an append and a decision point reads
+/// only the blocks or subtrees that hold a fit, instead of O(n) for
+/// both with the original sorted `Vec`. The original
 /// behaviour is kept as [`LinearQueue`] behind
 /// [`OnlineScheduler::with_reference_queue`]; differential tests prove
 /// the two produce identical schedules.
@@ -211,6 +212,18 @@ impl OnlineScheduler {
         self.queue.len()
     }
 
+    /// Queue entries the indexed queue has read at decision points
+    /// over this scheduler's lifetime ([`IndexedQueue::scan_steps`]).
+    /// Deterministic, so tests pin it; always 0 with the reference
+    /// queue.
+    #[must_use]
+    pub fn queue_scan_steps(&self) -> u64 {
+        match &self.queue {
+            QueueKind::Indexed(q) => q.scan_steps(),
+            QueueKind::Linear(_) => 0,
+        }
+    }
+
     /// Seed the scheduler with a previously-populated [`AllocCache`].
     ///
     /// Long-running services (`moldable-serve`) handle many requests
@@ -294,7 +307,12 @@ impl Scheduler for OnlineScheduler {
         if let Some(d) = self.decisions.as_mut() {
             d.insert(task, allocation);
         }
-        let dur = model.time(allocation.capped);
+        // FIFO and the allocation orders never read the duration.
+        let dur = if self.policy.uses_duration() {
+            model.time(allocation.capped)
+        } else {
+            0.0
+        };
         let key = self.policy.key(dur, allocation.capped, self.seq);
         self.seq += 1;
         self.queue.push(ReadyItem {
@@ -314,7 +332,7 @@ impl Scheduler for OnlineScheduler {
         // List scheduling: start *every* waiting task that fits, in
         // queue order (Algorithm 1, lines 7–11). Free only shrinks, so
         // a skipped task stays infeasible for this decision point: the
-        // indexed queue drains the whole point in one compacting pass
+        // indexed queue drains the whole point in one call
         // (`pop_fits_into`), the reference queue pops first fits.
         let mut free = free;
         self.scratch.clear();
@@ -495,6 +513,29 @@ mod tests {
         let cache = s.take_alloc_cache().expect("init built a cache");
         assert_eq!(cache.hits(), 0, "every model is distinct");
         assert_eq!(cache.probes(), BYPASS_MIN_PROBES);
+    }
+
+    #[test]
+    fn decision_points_read_a_pinned_number_of_queue_entries() {
+        // A 20 000-task layered General-class graph on P = 256, built
+        // like the repository benchmark's first sim_layered graph but
+        // 20 layers deep. The previous inline tier, one compacting pass
+        // over every waiting item per decision point, read 4 355 988
+        // queue entries on it; the block-min index reads only the
+        // blocks that hold a fit.
+        const PREVIOUS: u64 = 4_355_988;
+        let p = 256;
+        let mut mrng = moldable_model::rng::StdRng::seed_from_u64(8 ^ 0x5EED_0000_0000);
+        let dist = moldable_model::sample::ParamDistribution::default();
+        let mut assign = gen::weighted_sampler(ModelClass::General, dist, p, &mut mrng);
+        let mut srng = moldable_model::rng::StdRng::seed_from_u64(8);
+        let g = gen::layered_random_sparse(20, 1000, 0.002, &mut srng, &mut assign);
+        assert_eq!(g.n_tasks(), 20_000);
+        let mut s = OnlineScheduler::for_class(ModelClass::General);
+        let _ = simulate(&g, &mut s, &SimOptions::new(p)).unwrap();
+        let steps = s.queue_scan_steps();
+        assert_eq!(steps, 490_950);
+        assert!(steps * 4 <= PREVIOUS);
     }
 
     #[test]

@@ -43,6 +43,13 @@ impl QueuePolicy {
         (primary, seq)
     }
 
+    /// Whether [`QueuePolicy::key`] reads its `dur` argument. When it
+    /// does not, callers may skip computing the duration.
+    #[must_use]
+    pub fn uses_duration(self) -> bool {
+        matches!(self, Self::LongestFirst | Self::ShortestFirst)
+    }
+
     /// All policies, for sweeps.
     #[must_use]
     pub fn all() -> [QueuePolicy; 5] {
@@ -103,6 +110,16 @@ mod tests {
             QueuePolicy::LargestAllocFirst.key(1.0, 8, 9)
                 < QueuePolicy::LargestAllocFirst.key(1.0, 2, 1)
         );
+    }
+
+    #[test]
+    fn key_ignores_duration_exactly_when_uses_duration_is_false() {
+        for p in QueuePolicy::all() {
+            let moves = [0.0, 1.0, 7.5, 1e9]
+                .iter()
+                .any(|&dur| p.key(dur, 3, 1) != p.key(2.0, 3, 1));
+            assert_eq!(moves, p.uses_duration(), "{}", p.name());
+        }
     }
 
     #[test]

@@ -9,12 +9,17 @@
 //! [`IndexedQueue`] replaces it with a two-tier structure:
 //!
 //! * While the queue holds at most [`SPILL_THRESHOLD`] tasks it lives
-//!   in a sorted inline buffer — identical layout to the reference
-//!   queue, but with a cached minimum allocation so a decision point
-//!   where *nothing* fits is rejected in O(1) instead of a full scan.
-//!   At the queue depths real DAG workloads produce (a few hundred
-//!   waiting tasks), the buffer's contiguous scans and memmoves beat
-//!   any pointer structure's cache behaviour.
+//!   in a sorted inline buffer indexed by a **block-min tree**: an
+//!   implicit min-segment tree over 16-item blocks of the buffer. A
+//!   decision point descends it, skipping every subtree whose smallest
+//!   allocation exceeds the free count, so it reads O(log(n/16)) tree
+//!   nodes plus the 16 items of each block it starts a task from,
+//!   instead of every waiting item. Started items stay in place as
+//!   tombstones (no memmove) until they outnumber the live ones, and a
+//!   FIFO release is an O(1) append whose block is indexed lazily at
+//!   the next decision point. At the queue depths real DAG workloads
+//!   produce (a few hundred waiting tasks), this contiguous layout
+//!   beats any pointer structure's cache behaviour.
 //! * Past the threshold the buffer spills into a treap (randomized
 //!   BST) over the policy key, augmented with the **minimum allocation
 //!   in each subtree**. Insertion is O(log n); finding the first task
@@ -46,7 +51,9 @@ use moldable_model::rng::splitmix64_next;
 pub struct ReadyItem {
     /// The waiting task.
     pub task: TaskId,
-    /// Capped allocation `p'_j` from Algorithm 2.
+    /// Capped allocation `p'_j` from Algorithm 2. `u32::MAX` is
+    /// reserved: [`IndexedQueue`] marks started items with it, and a
+    /// capped allocation `⌈μP⌉` never reaches it.
     pub alloc: u32,
     /// Policy sort key (primary, release-sequence tiebreak) — unique
     /// per item because the sequence number is.
@@ -110,6 +117,14 @@ const NIL: u32 = u32::MAX;
 /// the O(log n) descent does.
 pub const SPILL_THRESHOLD: usize = 1024;
 
+/// Items per leaf of the inline tier's block-min tree.
+const BLOCK: usize = 16;
+
+/// Allocation written over a started inline item, which stays in place
+/// as a tombstone until compaction. Searches cap `free` below it, so a
+/// tombstone never fits.
+const TOMB: u32 = u32::MAX;
+
 #[derive(Debug, Clone, Copy)]
 struct Node {
     item: ReadyItem,
@@ -121,28 +136,28 @@ struct Node {
     right: u32,
 }
 
-/// Indexed ready queue: inline sorted buffer for short queues, treap
-/// with subtree-minimum allocation tracking past [`SPILL_THRESHOLD`].
-/// Worst-case O(log n) insert and first-fit pop.
+/// Indexed ready queue: block-min-indexed sorted buffer for short
+/// queues, treap with subtree-minimum allocation tracking past
+/// [`SPILL_THRESHOLD`]. Worst-case O(log n) insert and first-fit pop.
 #[derive(Debug)]
 pub struct IndexedQueue {
     /// Inline tier: sorted by key, holds *all* items iff `root == NIL`.
+    /// Started items stay in place as tombstones (`alloc == TOMB`)
+    /// until they outnumber the live ones.
     small: Vec<ReadyItem>,
-    /// Cached minimum `alloc` over `small` (`u32::MAX` when empty).
-    small_min: u32,
-    /// Blocked-prefix memo for [`IndexedQueue::pop_fits_into`]: the
-    /// first `blocked_len` inline items are all known to need more
-    /// than `blocked_free` processors (established by the previous
-    /// drain), and `blocked_min` is their minimum allocation. A drain
-    /// at `free ≤ blocked_free` can start scanning at `blocked_len` —
-    /// in steady state (FIFO appends) each item is examined O(1) times
-    /// across its whole queue residence instead of once per decision
-    /// point. `blocked_len == 0` means no memo.
-    blocked_len: usize,
-    /// See [`IndexedQueue::blocked_len`].
-    blocked_free: u32,
-    /// See [`IndexedQueue::blocked_len`].
-    blocked_min: u32,
+    /// Block-min tree over `small`: an implicit binary tree with
+    /// `mins.len() / 2` leaves (a power of two). Leaf `b` holds the
+    /// smallest live allocation among items `16b .. 16b + 16`, each
+    /// inner node `i` the smaller of nodes `2i` and `2i + 1`, so
+    /// `mins[1]` is the inline minimum. Unused leaves hold `TOMB`.
+    mins: Vec<u32>,
+    /// First `small` index written since `mins` was last refreshed. A
+    /// FIFO push appends at or past it and leaves it alone, a
+    /// mid-buffer insert lowers it, and a reshuffle of `small` resets
+    /// it to 0, which makes the next refresh a rebuild.
+    stale_from: usize,
+    /// Sum of the live inline allocations; picks the drain route.
+    live_sum: u64,
     /// Migration point (constructor-tunable for tests).
     spill_at: usize,
     nodes: Vec<Node>,
@@ -151,6 +166,8 @@ pub struct IndexedQueue {
     root: u32,
     len: usize,
     prio_state: u64,
+    /// See [`IndexedQueue::scan_steps`].
+    scan_steps: u64,
 }
 
 impl Default for IndexedQueue {
@@ -172,10 +189,9 @@ impl IndexedQueue {
     pub fn with_spill_threshold(spill_at: usize) -> Self {
         Self {
             small: Vec::new(),
-            small_min: u32::MAX,
-            blocked_len: 0,
-            blocked_free: 0,
-            blocked_min: u32::MAX,
+            mins: Vec::new(),
+            stale_from: 0,
+            live_sum: 0,
             spill_at: spill_at.max(1),
             nodes: Vec::new(),
             spare: Vec::new(),
@@ -183,7 +199,18 @@ impl IndexedQueue {
             len: 0,
             // Any fixed seed works: priorities only shape the tree.
             prio_state: 0x9D2C_5680_0B5A_3CF5,
+            scan_steps: 0,
         }
+    }
+
+    /// Inline-tier queue entries read so far by first-fit searches:
+    /// items scanned in a drain, re-read to refresh the block-min tree,
+    /// or passed over by a compaction. The treap tier, which only holds
+    /// queues deeper than [`SPILL_THRESHOLD`], is not counted. A pure
+    /// function of the push and pop sequence, so tests can pin it.
+    #[must_use]
+    pub fn scan_steps(&self) -> u64 {
+        self.scan_steps
     }
 
     /// Is the inline tier active (treap empty)?
@@ -332,11 +359,11 @@ impl IndexedQueue {
     /// Move every inline item into the treap (spill up).
     fn spill(&mut self) {
         let drained = std::mem::take(&mut self.small);
-        for it in drained {
+        for it in drained.into_iter().filter(|it| it.alloc != TOMB) {
             self.tree_insert(it);
         }
-        self.small_min = u32::MAX;
-        self.blocked_len = 0;
+        self.live_sum = 0;
+        self.stale_from = 0;
     }
 
     /// Move the whole treap back into the inline buffer (drain down).
@@ -346,7 +373,7 @@ impl IndexedQueue {
         self.small.reserve(self.len);
         let mut stack: Vec<u32> = Vec::new();
         let mut cur = self.root;
-        let mut min = u32::MAX;
+        let mut sum = 0;
         while cur != NIL || !stack.is_empty() {
             while cur != NIL {
                 stack.push(cur);
@@ -354,79 +381,164 @@ impl IndexedQueue {
             }
             let i = stack.pop().expect("non-empty stack");
             let item = self.node(i).item;
-            min = min.min(item.alloc);
+            sum += u64::from(item.alloc);
             self.small.push(item);
             cur = self.node(i).right;
         }
-        self.small_min = min;
-        self.blocked_len = 0;
+        self.live_sum = sum;
+        self.stale_from = 0;
         self.root = NIL;
         self.nodes.clear();
         self.spare.clear();
     }
 
-    /// Recompute the cached inline minimum after a removal.
-    fn refresh_small_min(&mut self) {
-        self.small_min = self
-            .small
+    /// Bring the block-min tree up to date with `small`: rebuild it
+    /// after a reshuffle or when the buffer outgrows its leaves, and
+    /// otherwise recompute only the blocks written since the last
+    /// refresh and their ancestors.
+    fn refresh(&mut self) {
+        let n = self.small.len();
+        let blocks = n.div_ceil(BLOCK);
+        let leaves = self.mins.len() / 2;
+        if self.stale_from == 0 || blocks > leaves {
+            let leaves = blocks.next_power_of_two();
+            self.mins.clear();
+            self.mins.resize(2 * leaves, TOMB);
+            for b in 0..blocks {
+                self.mins[leaves + b] = self.block_min(b);
+            }
+            for i in (1..leaves).rev() {
+                self.mins[i] = self.mins[2 * i].min(self.mins[2 * i + 1]);
+            }
+            self.scan_steps += n as u64;
+        } else if self.stale_from < n {
+            let first = self.stale_from / BLOCK;
+            for b in first..blocks {
+                self.mins[leaves + b] = self.block_min(b);
+            }
+            let (mut lo, mut hi) = (leaves + first, leaves + blocks - 1);
+            while lo > 1 {
+                (lo, hi) = (lo / 2, hi / 2);
+                for i in lo..=hi {
+                    self.mins[i] = self.mins[2 * i].min(self.mins[2 * i + 1]);
+                }
+            }
+            self.scan_steps += (n - first * BLOCK) as u64;
+        }
+        self.stale_from = n;
+    }
+
+    /// Smallest live allocation in block `b` (`TOMB` if none).
+    fn block_min(&self, b: usize) -> u32 {
+        let end = (b * BLOCK + BLOCK).min(self.small.len());
+        self.small[b * BLOCK..end]
             .iter()
             .map(|it| it.alloc)
             .min()
-            .unwrap_or(u32::MAX);
+            .unwrap_or(TOMB)
+    }
+
+    /// First block at or after `from` whose minimum allocation is at
+    /// most `free`: climb until a subtree further right qualifies, then
+    /// descend to its leftmost qualifying leaf.
+    fn next_fit_block(&self, from: usize, free: u32) -> Option<usize> {
+        let leaves = self.mins.len() / 2;
+        if from >= leaves {
+            return None;
+        }
+        let mut i = leaves + from;
+        while self.mins[i] > free {
+            // Right children end where their parent ends: climb past them.
+            while i & 1 == 1 {
+                i >>= 1;
+            }
+            if i == 0 {
+                return None;
+            }
+            i += 1;
+        }
+        while i < leaves {
+            i *= 2;
+            if self.mins[i] > free {
+                i += 1;
+            }
+        }
+        Some(i - leaves)
+    }
+
+    /// Store block `b`'s new minimum and fix its ancestors, stopping
+    /// at the first one that does not change.
+    fn set_leaf(&mut self, b: usize, min: u32) {
+        let mut i = self.mins.len() / 2 + b;
+        self.mins[i] = min;
+        while i > 1 {
+            i /= 2;
+            let m = self.mins[2 * i].min(self.mins[2 * i + 1]);
+            if self.mins[i] == m {
+                break;
+            }
+            self.mins[i] = m;
+        }
+    }
+
+    /// Take up to `limit` inline items first-fit, in key order, with
+    /// `free` shrinking as items are taken: descend the block-min tree
+    /// to each block holding a fit, scan that block, and tombstone what
+    /// it starts. Compacts once tombstones outnumber live items.
+    fn take_by_blocks(&mut self, free: &mut u32, limit: usize, mut emit: impl FnMut(ReadyItem)) {
+        self.refresh();
+        let mut cap = (*free).min(TOMB - 1);
+        if self.mins[1] > cap {
+            return;
+        }
+        let (mut taken, mut from) = (0, 0);
+        while taken < limit {
+            let Some(b) = self.next_fit_block(from, cap) else {
+                break;
+            };
+            let end = (b * BLOCK + BLOCK).min(self.small.len());
+            let mut min = TOMB;
+            for it in &mut self.small[b * BLOCK..end] {
+                if taken < limit && it.alloc <= cap {
+                    emit(*it);
+                    *free -= it.alloc;
+                    cap = (*free).min(TOMB - 1);
+                    self.live_sum -= u64::from(it.alloc);
+                    it.alloc = TOMB;
+                    taken += 1;
+                } else {
+                    min = min.min(it.alloc);
+                }
+            }
+            self.scan_steps += (end - b * BLOCK) as u64;
+            self.set_leaf(b, min);
+            from = b + 1;
+        }
+        self.len -= taken;
+        if self.small.len() - self.len > self.len {
+            self.scan_steps += self.small.len() as u64;
+            self.small.retain(|it| it.alloc != TOMB);
+            self.stale_from = 0;
+        }
     }
 
     /// Drain *every* item a full list-scheduling decision point would
     /// start: repeatedly the first item in key order with
     /// `alloc ≤ free`, with `free` shrinking as items are taken.
-    /// Exactly equivalent to looping [`ReadyQueue::pop_first_fit`] —
-    /// skipped items stay infeasible because `free` only decreases —
-    /// but the inline tier does it in **one** compacting left-to-right
-    /// pass instead of re-scanning the blocked prefix once per pop,
-    /// O(n) per decision point instead of O(n·k).
+    /// Exactly equivalent to looping [`ReadyQueue::pop_first_fit`],
+    /// because skipped items stay infeasible while `free` only
+    /// decreases. The inline tier picks one of three routes, each of
+    /// which yields exactly that first-fit sequence:
+    ///
+    /// 1. the live allocations sum to at most `free`: take everything;
+    /// 2. `free` covers at least half that sum: one compacting
+    ///    left-to-right pass;
+    /// 3. otherwise: descend the block-min tree, reading only the
+    ///    blocks that hold a fit.
     pub fn pop_fits_into(&mut self, free: &mut u32, out: &mut Vec<ReadyItem>) {
-        loop {
-            if self.inline_mode() {
-                if self.small_min > *free {
-                    return;
-                }
-                // The previous drain certified that its survivors all
-                // need more than `blocked_free` processors; with no
-                // more free now, only items pushed since can fit.
-                let (start, mut min) = if self.blocked_len > 0 && *free <= self.blocked_free {
-                    debug_assert!(self.blocked_len <= self.small.len());
-                    (self.blocked_len.min(self.small.len()), self.blocked_min)
-                } else {
-                    (0, u32::MAX)
-                };
-                let mut w = start;
-                for r in start..self.small.len() {
-                    let it = self.small[r];
-                    if it.alloc <= *free {
-                        *free -= it.alloc;
-                        out.push(it);
-                        self.len -= 1;
-                    } else {
-                        min = min.min(it.alloc);
-                        // While nothing has been removed (w == r) the
-                        // prefix is already in place — no write-back.
-                        if w != r {
-                            self.small[w] = it;
-                        }
-                        w += 1;
-                    }
-                }
-                self.small.truncate(w);
-                self.small_min = min;
-                // Every survivor was (re-)certified blocked at a free
-                // count ≥ the final one — `free` only decreased.
-                self.blocked_len = w;
-                self.blocked_free = *free;
-                self.blocked_min = min;
-                return;
-            }
-            // Treap tier: O(log n) guided descents; a pop may trigger
-            // the unspill transition, after which the loop finishes in
-            // the inline branch above.
+        // Treap tier: O(log n) guided descents; a pop may trigger the
+        // unspill transition, after which the inline tier finishes.
+        while !self.inline_mode() {
             match self.pop_first_fit(*free) {
                 Some(it) => {
                     *free -= it.alloc;
@@ -435,23 +547,63 @@ impl IndexedQueue {
                 None => return,
             }
         }
+        let avail = u64::from(*free);
+        if self.live_sum <= avail {
+            self.scan_steps += self.small.len() as u64;
+            for it in self.small.drain(..).filter(|it| it.alloc != TOMB) {
+                *free -= it.alloc;
+                out.push(it);
+            }
+            (self.len, self.live_sum, self.stale_from) = (0, 0, 0);
+        } else if 2 * avail >= self.live_sum {
+            self.scan_steps += self.small.len() as u64;
+            let mut w = 0;
+            for r in 0..self.small.len() {
+                let it = self.small[r];
+                if it.alloc == TOMB {
+                    continue;
+                }
+                if it.alloc <= *free {
+                    *free -= it.alloc;
+                    self.live_sum -= u64::from(it.alloc);
+                    self.len -= 1;
+                    out.push(it);
+                } else {
+                    // While nothing has been removed (w == r) the
+                    // prefix is already in place — no write-back.
+                    if w != r {
+                        self.small[w] = it;
+                    }
+                    w += 1;
+                }
+            }
+            self.small.truncate(w);
+            self.stale_from = 0;
+        } else {
+            self.take_by_blocks(free, usize::MAX, |it| out.push(it));
+        }
     }
 }
 
 impl ReadyQueue for IndexedQueue {
     fn push(&mut self, item: ReadyItem) {
+        assert!(item.alloc != TOMB, "allocation u32::MAX is reserved");
         if self.inline_mode() {
-            if self.small.len() < self.spill_at {
-                let pos = self.small.partition_point(|it| !key_lt(item.key, it.key));
-                if pos < self.blocked_len {
-                    // Insert lands inside the certified prefix (non-FIFO
-                    // policy key): the memo no longer covers a prefix of
-                    // known-blocked items, so drop it. FIFO keys append
-                    // at the end and never take this branch.
-                    self.blocked_len = 0;
+            if self.len < self.spill_at {
+                // A key past the last one (every FIFO key) appends; only
+                // an earlier key pays the binary search and memmove.
+                if self
+                    .small
+                    .last()
+                    .is_some_and(|last| key_lt(item.key, last.key))
+                {
+                    let pos = self.small.partition_point(|it| !key_lt(item.key, it.key));
+                    self.small.insert(pos, item);
+                    self.stale_from = self.stale_from.min(pos);
+                } else {
+                    self.small.push(item);
                 }
-                self.small.insert(pos, item);
-                self.small_min = self.small_min.min(item.alloc);
+                self.live_sum += u64::from(item.alloc);
                 self.len += 1;
                 return;
             }
@@ -463,19 +615,9 @@ impl ReadyQueue for IndexedQueue {
 
     fn pop_first_fit(&mut self, free: u32) -> Option<ReadyItem> {
         if self.inline_mode() {
-            if self.small_min > free {
-                return None;
-            }
-            let pos = self.small.iter().position(|it| it.alloc <= free)?;
-            let item = self.small.remove(pos);
-            // Single pops shift indices under the memo; drop it rather
-            // than track the shift (this path is not the decision-point drain).
-            self.blocked_len = 0;
-            self.len -= 1;
-            if item.alloc == self.small_min {
-                self.refresh_small_min();
-            }
-            return Some(item);
+            let mut found = None;
+            self.take_by_blocks(&mut { free }, 1, |it| found = Some(it));
+            return found;
         }
         let (root, removed) = self.pop_at(self.root, free);
         self.root = root;
@@ -626,71 +768,157 @@ mod tests {
         assert!(q.nodes.is_empty(), "inline tier should have sufficed");
     }
 
-    #[test]
-    fn spill_and_unspill_transitions_match_reference() {
-        // Tiny threshold so a few thousand interleaved ops cross the
-        // inline→treap and treap→inline boundaries many times over.
-        let mut rng = StdRng::seed_from_u64(0x5B11);
-        let mut lin = LinearQueue::new();
-        let mut idx = IndexedQueue::with_spill_threshold(16);
-        let mut seq = 0u64;
-        for _ in 0..8_000 {
-            if rng.gen_bool(0.55) || lin.is_empty() {
-                let primary = if rng.gen_bool(0.5) {
-                    0.0
-                } else {
-                    rng.gen_range(-10.0..10.0)
-                };
-                let it = item(seq, rng.gen_range(1u32..12), primary);
-                seq += 1;
-                lin.push(it);
-                idx.push(it);
-            } else {
-                let free = rng.gen_range(0u32..14);
-                assert_eq!(lin.pop_first_fit(free), idx.pop_first_fit(free));
-            }
-            assert_eq!(lin.len(), idx.len());
+    /// The inline tier's bookkeeping agrees with its buffer: keys
+    /// sorted, live count and allocation sum exact, tombstones no more
+    /// than live items, and wherever the block-min tree is fresh every
+    /// node holds the minimum of what it covers.
+    fn assert_consistent(q: &IndexedQueue) {
+        if !q.inline_mode() {
+            return;
         }
-        loop {
-            let (a, b) = (lin.pop_first_fit(16), idx.pop_first_fit(16));
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
+        assert!(q.small.windows(2).all(|w| key_lt(w[0].key, w[1].key)));
+        let live: Vec<u32> = q
+            .small
+            .iter()
+            .map(|it| it.alloc)
+            .filter(|&a| a != TOMB)
+            .collect();
+        assert_eq!(live.len(), q.len);
+        assert_eq!(live.iter().copied().map(u64::from).sum::<u64>(), q.live_sum);
+        assert!(
+            q.small.len() - q.len <= q.len,
+            "tombstones outnumber live items"
+        );
+        if q.stale_from > 0 && q.stale_from == q.small.len() {
+            let leaves = q.mins.len() / 2;
+            let blocks = q.small.len().div_ceil(BLOCK);
+            for b in 0..leaves {
+                let want = if b < blocks { q.block_min(b) } else { TOMB };
+                assert_eq!(q.mins[leaves + b], want, "leaf {b}");
+            }
+            for i in 1..leaves {
+                assert_eq!(q.mins[i], q.mins[2 * i].min(q.mins[2 * i + 1]), "node {i}");
             }
         }
-        assert!(idx.is_empty());
     }
 
     #[test]
-    fn batch_drain_matches_repeated_pops() {
-        // Drive one queue with pop_fits_into and a twin with the
-        // pop_first_fit loop it claims to equal, across random
-        // push/drain interleavings and spill transitions.
-        let mut rng = StdRng::seed_from_u64(0xBA7C);
-        for spill_at in [4usize, 1024] {
-            let mut a = IndexedQueue::with_spill_threshold(spill_at);
-            let mut b = IndexedQueue::with_spill_threshold(spill_at);
+    fn spill_and_unspill_transitions_match_reference() {
+        // Tiny thresholds so a few thousand interleaved ops cross the
+        // inline→treap and treap→inline boundaries many times over.
+        // Each case: (spill threshold, share of FIFO keys, whether a
+        // decision point is drained whole by `pop_fits_into` instead of
+        // popped one first fit at a time). Thresholds past 16 keep
+        // several block-min blocks live on the inline side of every
+        // transition.
+        let mut rng = StdRng::seed_from_u64(0x5B11);
+        for (spill_at, fifo, whole) in [
+            (16usize, 0.5, false),
+            (64, 0.5, true),
+            (64, 0.9, false),
+            (200, 1.0, true),
+        ] {
+            let mut lin = LinearQueue::new();
+            let mut idx = IndexedQueue::with_spill_threshold(spill_at);
             let mut seq = 0u64;
-            let mut drained: Vec<ReadyItem> = Vec::new();
-            for _ in 0..3_000 {
-                if rng.gen_bool(0.7) || a.is_empty() {
-                    // Mixed keys: FIFO-style appends exercise the
-                    // blocked-prefix memo, mid-queue inserts its
-                    // invalidation.
-                    let primary = if rng.gen_bool(0.5) {
+            let mut spills = 0;
+            let mut drained = Vec::new();
+            for _ in 0..8_000 {
+                if rng.gen_bool(0.55) || lin.is_empty() {
+                    let primary = if rng.gen_bool(fifo) {
                         0.0
                     } else {
                         rng.gen_range(-10.0..10.0)
                     };
                     let it = item(seq, rng.gen_range(1u32..12), primary);
                     seq += 1;
+                    lin.push(it);
+                    let was_inline = idx.inline_mode();
+                    idx.push(it);
+                    spills += usize::from(was_inline && !idx.inline_mode());
+                } else if whole {
+                    let budget = rng.gen_range(0u32..10);
+                    let mut free = budget;
+                    drained.clear();
+                    idx.pop_fits_into(&mut free, &mut drained);
+                    let mut left = budget;
+                    for got in &drained {
+                        assert_eq!(lin.pop_first_fit(left), Some(*got));
+                        left -= got.alloc;
+                    }
+                    assert_eq!(lin.pop_first_fit(left), None, "reference had more fits");
+                    assert_eq!(free, left);
+                    assert_consistent(&idx);
+                } else {
+                    let free = rng.gen_range(0u32..14);
+                    assert_eq!(lin.pop_first_fit(free), idx.pop_first_fit(free));
+                }
+                assert_eq!(lin.len(), idx.len());
+            }
+            assert!(spills > 0, "spill_at {spill_at}: never spilled");
+            loop {
+                let (a, b) = (lin.pop_first_fit(16), idx.pop_first_fit(16));
+                assert_eq!(a, b);
+                if a.is_none() {
+                    break;
+                }
+            }
+            assert!(idx.is_empty());
+        }
+    }
+
+    #[test]
+    fn batch_drain_matches_repeated_pops() {
+        // Drive one queue with pop_fits_into and a twin with the
+        // pop_first_fit loop it claims to equal, across random
+        // push/drain interleavings and spill transitions. Each case:
+        // (spill threshold, push probability, share of FIFO keys,
+        // largest drain budget). Small budgets against a deep queue
+        // take the block-min descent and pile up tombstones until a
+        // compaction; large budgets against a short queue take the
+        // take-all and compacting-pass routes; non-FIFO keys insert
+        // mid-buffer.
+        let mut rng = StdRng::seed_from_u64(0xBA7C);
+        let (mut routes, mut compactions, mut mid_inserts, mut deepest) = ([0; 3], 0, 0, 0);
+        for (spill_at, push_p, fifo, budget_max) in [
+            (4usize, 0.7, 0.5, 30u32),
+            (1024, 0.7, 0.5, 30),
+            (1024, 0.6, 1.0, 24),
+            (1024, 0.5, 0.8, 120),
+            (1024, 0.35, 0.5, 400),
+        ] {
+            let mut a = IndexedQueue::with_spill_threshold(spill_at);
+            let mut b = IndexedQueue::with_spill_threshold(spill_at);
+            let mut seq = 0u64;
+            let mut drained: Vec<ReadyItem> = Vec::new();
+            for _ in 0..3_000 {
+                if rng.gen_bool(push_p) || a.is_empty() {
+                    let primary = if rng.gen_bool(fifo) {
+                        0.0
+                    } else {
+                        rng.gen_range(-10.0..10.0)
+                    };
+                    let it = item(seq, rng.gen_range(1u32..12), primary);
+                    seq += 1;
+                    if a.inline_mode() && a.small.last().is_some_and(|l| key_lt(it.key, l.key)) {
+                        mid_inserts += 1;
+                    }
                     a.push(it);
                     b.push(it);
+                    deepest = deepest.max(a.small.len());
                 } else {
-                    let budget = rng.gen_range(0u32..30);
+                    let budget = rng.gen_range(0u32..budget_max);
+                    let (inline, before) = (a.inline_mode(), a.small.len());
+                    if inline {
+                        let (sum, avail) = (a.live_sum, u64::from(budget));
+                        routes[usize::from(sum > avail) + usize::from(sum > 2 * avail)] += 1;
+                    }
                     let mut free = budget;
                     drained.clear();
                     a.pop_fits_into(&mut free, &mut drained);
+                    if inline && a.small.len() < before && a.len() > 0 {
+                        compactions += 1;
+                    }
                     let mut free_b = budget;
                     for got in &drained {
                         let want = b.pop_first_fit(free_b).expect("twin pops too");
@@ -700,9 +928,20 @@ mod tests {
                     assert_eq!(b.pop_first_fit(free_b), None, "twin had more fits");
                     assert_eq!(free, free_b);
                     assert_eq!(a.len(), b.len());
+                    assert_consistent(&a);
+                    assert_consistent(&b);
                 }
             }
         }
+        assert!(
+            routes.iter().all(|&n| n > 0),
+            "drain routes taken: {routes:?}"
+        );
+        assert!(
+            compactions > 0 && mid_inserts > 0,
+            "{compactions} {mid_inserts}"
+        );
+        assert!(deepest > 4 * BLOCK, "deepest inline buffer {deepest}");
     }
 
     #[test]

@@ -88,13 +88,14 @@ pub fn analyze(files: &[&FileCtx]) -> (LockGraph, Vec<Diagnostic>) {
 
     // Pass 3: simulate held-lock scopes, emit edges.
     let mut edges: BTreeMap<(String, String), (String, String, u32)> = BTreeMap::new();
-    let mut add_edge = |from: &str, to: &str, func: &str, file: &str, line: u32, allow_self: bool| {
-        if from != to || allow_self {
-            edges
-                .entry((from.to_string(), to.to_string()))
-                .or_insert_with(|| (func.to_string(), file.to_string(), line));
-        }
-    };
+    let mut add_edge =
+        |from: &str, to: &str, func: &str, file: &str, line: u32, allow_self: bool| {
+            if from != to || allow_self {
+                edges
+                    .entry((from.to_string(), to.to_string()))
+                    .or_insert_with(|| (func.to_string(), file.to_string(), line));
+            }
+        };
     for b in &bodies {
         let mut held: Vec<(&str, i32)> = Vec::new();
         for e in &b.events {
