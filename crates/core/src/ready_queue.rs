@@ -399,19 +399,14 @@ impl IndexedQueue {
     fn refresh(&mut self) {
         let n = self.small.len();
         let blocks = n.div_ceil(BLOCK);
-        let leaves = self.mins.len() / 2;
-        if self.stale_from == 0 || blocks > leaves {
-            let leaves = blocks.next_power_of_two();
+        if self.stale_from == 0 || blocks > self.mins.len() / 2 {
+            // Rebuild: every node empty, then every block stale.
             self.mins.clear();
-            self.mins.resize(2 * leaves, TOMB);
-            for b in 0..blocks {
-                self.mins[leaves + b] = self.block_min(b);
-            }
-            for i in (1..leaves).rev() {
-                self.mins[i] = self.mins[2 * i].min(self.mins[2 * i + 1]);
-            }
-            self.scan_steps += n as u64;
-        } else if self.stale_from < n {
+            self.mins.resize(2 * blocks.next_power_of_two(), TOMB);
+            self.stale_from = 0;
+        }
+        if self.stale_from < n {
+            let leaves = self.mins.len() / 2;
             let first = self.stale_from / BLOCK;
             for b in first..blocks {
                 self.mins[leaves + b] = self.block_min(b);
