@@ -307,13 +307,7 @@ impl Scheduler for OnlineScheduler {
         if let Some(d) = self.decisions.as_mut() {
             d.insert(task, allocation);
         }
-        // FIFO and the allocation orders never read the duration.
-        let dur = if self.policy.uses_duration() {
-            model.time(allocation.capped)
-        } else {
-            0.0
-        };
-        let key = self.policy.key(dur, allocation.capped, self.seq);
+        let key = self.policy.key_for(model, allocation.capped, self.seq);
         self.seq += 1;
         self.queue.push(ReadyItem {
             task,
@@ -534,7 +528,7 @@ mod tests {
         let mut s = OnlineScheduler::for_class(ModelClass::General);
         let _ = simulate(&g, &mut s, &SimOptions::new(p)).unwrap();
         let steps = s.queue_scan_steps();
-        assert_eq!(steps, 490_950);
+        assert_eq!(steps, 490_139);
         assert!(steps * 4 <= PREVIOUS);
     }
 

@@ -8,6 +8,8 @@
 //! while potentially improving the constant in practice. The ablation
 //! bench compares them.
 
+use moldable_model::SpeedupModel;
+
 /// How the waiting queue of Algorithm 1 is scanned at a decision point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueuePolicy {
@@ -33,21 +35,24 @@ impl QueuePolicy {
     /// final tie-breaker so every policy is deterministic and fair).
     #[must_use]
     pub fn key(self, dur: f64, alloc: u32, seq: u64) -> (f64, u64) {
+        self.key_with(|| dur, alloc, seq)
+    }
+
+    /// [`QueuePolicy::key`] for a task with speedup model `model`,
+    /// evaluating the duration only for the policies that order by it.
+    pub(crate) fn key_for(self, model: &SpeedupModel, alloc: u32, seq: u64) -> (f64, u64) {
+        self.key_with(|| model.time(alloc), alloc, seq)
+    }
+
+    fn key_with(self, dur: impl FnOnce() -> f64, alloc: u32, seq: u64) -> (f64, u64) {
         let primary = match self {
             Self::Fifo => 0.0,
-            Self::LongestFirst => -dur,
-            Self::ShortestFirst => dur,
+            Self::LongestFirst => -dur(),
+            Self::ShortestFirst => dur(),
             Self::SmallestAllocFirst => f64::from(alloc),
             Self::LargestAllocFirst => -f64::from(alloc),
         };
         (primary, seq)
-    }
-
-    /// Whether [`QueuePolicy::key`] reads its `dur` argument. When it
-    /// does not, callers may skip computing the duration.
-    #[must_use]
-    pub fn uses_duration(self) -> bool {
-        matches!(self, Self::LongestFirst | Self::ShortestFirst)
     }
 
     /// All policies, for sweeps.
@@ -113,12 +118,24 @@ mod tests {
     }
 
     #[test]
-    fn key_ignores_duration_exactly_when_uses_duration_is_false() {
+    fn duration_is_evaluated_exactly_when_the_key_reads_it() {
+        let model = SpeedupModel::amdahl(10.0, 1.0).unwrap();
         for p in QueuePolicy::all() {
             let moves = [0.0, 1.0, 7.5, 1e9]
                 .iter()
                 .any(|&dur| p.key(dur, 3, 1) != p.key(2.0, 3, 1));
-            assert_eq!(moves, p.uses_duration(), "{}", p.name());
+            let mut evaluated = false;
+            let lazy = p.key_with(
+                || {
+                    evaluated = true;
+                    2.0
+                },
+                3,
+                1,
+            );
+            assert_eq!(lazy, p.key(2.0, 3, 1), "{}", p.name());
+            assert_eq!(evaluated, moves, "{}", p.name());
+            assert_eq!(p.key_for(&model, 3, 1), p.key(model.time(3), 3, 1));
         }
     }
 

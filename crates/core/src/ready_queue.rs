@@ -66,7 +66,8 @@ fn key_lt(a: (f64, u64), b: (f64, u64)) -> bool {
 
 /// Queue interface shared by the indexed and reference implementations.
 pub trait ReadyQueue {
-    /// Insert a released task (its key must be unique).
+    /// Insert a released task. Its key must be unique and its
+    /// allocation below `u32::MAX`, which [`ReadyItem::alloc`] reserves.
     fn push(&mut self, item: ReadyItem);
     /// Remove and return the first task in key order with
     /// `alloc ≤ free`, if any.
@@ -156,7 +157,8 @@ pub struct IndexedQueue {
     /// mid-buffer insert lowers it, and a reshuffle of `small` resets
     /// it to 0, which makes the next refresh a rebuild.
     stale_from: usize,
-    /// Sum of the live inline allocations; picks the drain route.
+    /// Sum of the live inline allocations: a drain whose `free` covers
+    /// it starts the whole buffer, so it skips the tree.
     live_sum: u64,
     /// Migration point (constructor-tunable for tests).
     spill_at: usize,
@@ -522,14 +524,10 @@ impl IndexedQueue {
     /// `alloc ≤ free`, with `free` shrinking as items are taken.
     /// Exactly equivalent to looping [`ReadyQueue::pop_first_fit`],
     /// because skipped items stay infeasible while `free` only
-    /// decreases. The inline tier picks one of three routes, each of
-    /// which yields exactly that first-fit sequence:
-    ///
-    /// 1. the live allocations sum to at most `free`: take everything;
-    /// 2. `free` covers at least half that sum: one compacting
-    ///    left-to-right pass;
-    /// 3. otherwise: descend the block-min tree, reading only the
-    ///    blocks that hold a fit.
+    /// decreases. The inline tier descends the block-min tree, reading
+    /// only the blocks that hold a fit, unless the tree cannot skip a
+    /// block: when `free` covers every live allocation, or the buffer
+    /// is a single block. Then one compacting pass reads it instead.
     pub fn pop_fits_into(&mut self, free: &mut u32, out: &mut Vec<ReadyItem>) {
         // Treap tier: O(log n) guided descents; a pop may trigger the
         // unspill transition, after which the inline tier finishes.
@@ -542,41 +540,33 @@ impl IndexedQueue {
                 None => return,
             }
         }
-        let avail = u64::from(*free);
-        if self.live_sum <= avail {
-            self.scan_steps += self.small.len() as u64;
-            for it in self.small.drain(..).filter(|it| it.alloc != TOMB) {
-                *free -= it.alloc;
-                out.push(it);
-            }
-            (self.len, self.live_sum, self.stale_from) = (0, 0, 0);
-        } else if 2 * avail >= self.live_sum {
-            self.scan_steps += self.small.len() as u64;
-            let mut w = 0;
-            for r in 0..self.small.len() {
-                let it = self.small[r];
-                if it.alloc == TOMB {
-                    continue;
-                }
-                if it.alloc <= *free {
-                    *free -= it.alloc;
-                    self.live_sum -= u64::from(it.alloc);
-                    self.len -= 1;
-                    out.push(it);
-                } else {
-                    // While nothing has been removed (w == r) the
-                    // prefix is already in place — no write-back.
-                    if w != r {
-                        self.small[w] = it;
-                    }
-                    w += 1;
-                }
-            }
-            self.small.truncate(w);
-            self.stale_from = 0;
-        } else {
+        if self.live_sum > u64::from(*free) && self.small.len() > BLOCK {
             self.take_by_blocks(free, usize::MAX, |it| out.push(it));
+            return;
         }
+        self.scan_steps += self.small.len() as u64;
+        let mut w = 0;
+        for r in 0..self.small.len() {
+            let it = self.small[r];
+            if it.alloc == TOMB {
+                continue;
+            }
+            if it.alloc <= *free {
+                *free -= it.alloc;
+                self.live_sum -= u64::from(it.alloc);
+                self.len -= 1;
+                out.push(it);
+            } else {
+                // While nothing has been removed (w == r) the prefix
+                // is already in place — no write-back.
+                if w != r {
+                    self.small[w] = it;
+                }
+                w += 1;
+            }
+        }
+        self.small.truncate(w);
+        self.stale_from = 0;
     }
 }
 
@@ -871,16 +861,19 @@ mod tests {
         // largest drain budget). Small budgets against a deep queue
         // take the block-min descent and pile up tombstones until a
         // compaction; large budgets against a short queue take the
-        // take-all and compacting-pass routes; non-FIFO keys insert
-        // mid-buffer.
+        // compacting pass, and the last case's budgets often cover a
+        // queue of several blocks; non-FIFO keys insert mid-buffer.
         let mut rng = StdRng::seed_from_u64(0xBA7C);
-        let (mut routes, mut compactions, mut mid_inserts, mut deepest) = ([0; 3], 0, 0, 0);
+        // Passes are counted per buffer size: one block, or more.
+        let (mut passes, mut descents, mut compactions, mut mid_inserts, mut deepest) =
+            ([0; 2], 0, 0, 0, 0);
         for (spill_at, push_p, fifo, budget_max) in [
             (4usize, 0.7, 0.5, 30u32),
             (1024, 0.7, 0.5, 30),
             (1024, 0.6, 1.0, 24),
             (1024, 0.5, 0.8, 120),
             (1024, 0.35, 0.5, 400),
+            (1024, 0.8, 0.5, 2000),
         ] {
             let mut a = IndexedQueue::with_spill_threshold(spill_at);
             let mut b = IndexedQueue::with_spill_threshold(spill_at);
@@ -903,14 +896,18 @@ mod tests {
                     deepest = deepest.max(a.small.len());
                 } else {
                     let budget = rng.gen_range(0u32..budget_max);
-                    let (inline, before) = (a.inline_mode(), a.small.len());
-                    if inline {
-                        let (sum, avail) = (a.live_sum, u64::from(budget));
-                        routes[usize::from(sum > avail) + usize::from(sum > 2 * avail)] += 1;
-                    }
+                    let (inline, before, steps) = (a.inline_mode(), a.small.len(), a.scan_steps);
+                    let pass = inline && (a.live_sum <= u64::from(budget) || before <= BLOCK);
                     let mut free = budget;
                     drained.clear();
                     a.pop_fits_into(&mut free, &mut drained);
+                    // The compacting pass reads the buffer exactly once.
+                    if pass {
+                        assert_eq!(a.scan_steps - steps, before as u64);
+                        passes[usize::from(before > BLOCK)] += 1;
+                    } else if inline {
+                        descents += 1;
+                    }
                     if inline && a.small.len() < before && a.len() > 0 {
                         compactions += 1;
                     }
@@ -929,12 +926,8 @@ mod tests {
             }
         }
         assert!(
-            routes.iter().all(|&n| n > 0),
-            "drain routes taken: {routes:?}"
-        );
-        assert!(
-            compactions > 0 && mid_inserts > 0,
-            "{compactions} {mid_inserts}"
+            passes.iter().all(|&n| n > 0) && descents > 0 && compactions > 0 && mid_inserts > 0,
+            "{passes:?} {descents} {compactions} {mid_inserts}"
         );
         assert!(deepest > 4 * BLOCK, "deepest inline buffer {deepest}");
     }
