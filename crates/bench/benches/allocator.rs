@@ -39,19 +39,19 @@ fn bench_allocate() {
     }
 }
 
-fn bench_allocate_linear_vs_binary() {
+fn bench_allocate_linear_vs_closed_form() {
     let p_total = 4096;
     let m = SpeedupModel::amdahl(f64::from(p_total) * 4.0, 1.0).unwrap();
     let mu = ModelClass::Amdahl.optimal_mu();
-    bench("allocate_linear_vs_binary", "binary_search", || {
+    bench("allocate_linear_vs_closed_form", "closed_form", || {
         allocate(black_box(&m), p_total, mu)
     });
-    bench("allocate_linear_vs_binary", "linear_reference", || {
+    bench("allocate_linear_vs_closed_form", "linear_reference", || {
         allocate_linear_reference(black_box(&m), p_total, mu)
     });
 }
 
 fn main() {
     bench_allocate();
-    bench_allocate_linear_vs_binary();
+    bench_allocate_linear_vs_closed_form();
 }

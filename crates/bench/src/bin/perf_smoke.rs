@@ -11,6 +11,10 @@
 //!   general-model tasks, geometric-skip construction) under the
 //!   online scheduler on P = 256: every model is distinct, so the
 //!   allocation cache is bypassed after its first few thousand probes;
+//! * `allocate_general_1m` — Algorithm 2 alone: `allocate` over the
+//!   same 10^6 general models (`build_secs` is drawing them, `sim_secs`
+//!   allocating each once at P = 256), the Step 1 cost that
+//!   `layered_1m` pays per release once its cache is bypassed;
 //! * `thm6_communication_p1601` — the Theorem 6 adversarial instance
 //!   at P = 1601 (~868 k near-identical tasks, the allocation-memo and
 //!   run-grouping stress case);
@@ -33,12 +37,13 @@
 //!   row at ≥ 1.5× the batched row's wall time (same clients, same
 //!   workers, so the ratio is per-frame overhead).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use moldable_adversary::{arbitrary, communication};
 use moldable_bench::write_result;
 use moldable_core::baselines::EqualShareScheduler;
-use moldable_core::OnlineScheduler;
+use moldable_core::{allocate, OnlineScheduler};
 use moldable_graph::gen;
 use moldable_model::rng::StdRng;
 use moldable_model::sample::ParamDistribution;
@@ -101,6 +106,39 @@ fn layered_1m() -> Measurement {
     let build_secs = t0.elapsed().as_secs_f64();
     let sched = OnlineScheduler::for_class(ModelClass::General);
     online_run("layered_1m", &g, build_secs, p_total, sched)
+}
+
+/// The models of `layered_1m` (same sampler, same seed, drawn in task
+/// order), each allocated once by Algorithm 2 at the general class's μ.
+fn allocate_general_1m() -> Measurement {
+    let p_total = 256;
+    let t0 = Instant::now();
+    let dist = ParamDistribution::default();
+    let mut mrng = StdRng::seed_from_u64(0x5EED);
+    let mut assign = gen::weighted_sampler(ModelClass::General, dist, p_total, &mut mrng);
+    let models: Vec<_> = (0..1_000_000)
+        .map(|index| {
+            assign(gen::TaskCtx {
+                index,
+                kind: "layered",
+                weight: 1.0,
+            })
+        })
+        .collect();
+    let build_secs = t0.elapsed().as_secs_f64();
+    let mu = ModelClass::General.optimal_mu();
+    let t1 = Instant::now();
+    for model in &models {
+        black_box(allocate(black_box(model), p_total, mu));
+    }
+    let sim_secs = t1.elapsed().as_secs_f64();
+    Measurement {
+        name: "allocate_general_1m",
+        n_tasks: models.len(),
+        build_secs,
+        sim_secs,
+        makespan: 0.0,
+    }
 }
 
 fn thm6_communication() -> Measurement {
@@ -443,6 +481,7 @@ fn main() {
     println!("Engine throughput smoke test\n");
     let runs = [
         layered_1m(),
+        allocate_general_1m(),
         thm6_communication(),
         thm9_adaptive(),
         wide_50k(false),

@@ -5,13 +5,22 @@
 //! time-stretch constraint `β_p = t(p)/t_min ≤ δ(μ) = (1−2μ)/(μ(1−μ))`.
 //! On `[1, p_max]`, `α_p` is non-decreasing and `β_p` non-increasing
 //! (Lemma 1), so the constrained minimizer of `α` is simply the
-//! *smallest* feasible `p` — found here by binary search in O(log P).
+//! *smallest* feasible `p`. For the paper's four models that `p` is the
+//! smaller root of a quadratic, so Step 1 is O(1): one closed-form
+//! estimate, confirmed by the float predicate at `p` and `p − 1`.
 //!
 //! **Step 2 (cap).** Reduce the allocation to `⌈μP⌉` if it exceeds it
 //! (Eq. 7), so that medium-utilization intervals can always fit another
 //! task — the Lepère–Trystram–Woeginger technique.
+//!
+//! A scheduler allocates many tasks on one `(algo, P, μ)`; the
+//! crate-private `Allocator` computes that platform's constants once
+//! (`δ(μ)`, `⌈μP⌉` and the Improved'23 `λ` per class) and is what the
+//! memoized release path calls.
 
-use moldable_model::{delta, SpeedupModel};
+use moldable_model::{delta, ModelClass, SpeedupModel};
+
+use crate::registry::AlgoName;
 
 /// Result of Algorithm 2 for one task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,11 +50,20 @@ pub fn mu_cap(p_total: u32, mu: f64) -> u32 {
     cap.max(1)
 }
 
+/// The admissible-μ check shared by every entry point.
+fn assert_mu(mu: f64) {
+    assert!(
+        mu > 0.0 && mu <= moldable_model::MU_MAX + 1e-12,
+        "mu must lie in (0, (3-sqrt(5))/2], got {mu}"
+    );
+}
+
 /// Algorithm 2: allocate processors for one task on a `P = p_total`
 /// platform with parameter `μ`.
 ///
-/// For the paper's closed-form models this runs in O(log P); for
-/// arbitrary (table/closure) models it falls back to the O(p_max)
+/// For the paper's closed-form models Step 1 is O(1) (a quadratic's
+/// root, confirmed by the float predicate at `p` and `p − 1`);
+/// for arbitrary (table/closure) models it falls back to the O(p_max)
 /// linear scan of [`allocate_linear_reference`], which needs no
 /// monotonicity.
 ///
@@ -55,46 +73,94 @@ pub fn mu_cap(p_total: u32, mu: f64) -> u32 {
 /// `δ(μ) < 1 ≤ β`), or `p_total == 0`.
 #[must_use]
 pub fn allocate(model: &SpeedupModel, p_total: u32, mu: f64) -> Allocation {
-    assert!(
-        mu > 0.0 && mu <= moldable_model::MU_MAX + 1e-12,
-        "mu must lie in (0, (3-sqrt(5))/2], got {mu}"
-    );
+    assert_mu(mu);
     assert!(p_total >= 1);
-    let initial = match model {
-        SpeedupModel::Table(_)
-        | SpeedupModel::Formula {
-            nonincreasing: false,
-            ..
-        } => {
-            return allocate_linear_reference(model, p_total, mu);
-        }
-        // A formula flagged non-increasing is treated like the closed
-        // forms below: binary search for the smallest feasible p. This
-        // is the α-minimizer provided the model is also area-monotone
-        // (Lemma 1's second condition) — the flag's contract.
-        _ => {
-            let p_max = model.p_max(p_total);
-            let threshold = delta(mu) * model.time(p_max) * (1.0 + BETA_RTOL);
-            // Binary search for the smallest p in [1, p_max] with
-            // t(p) <= threshold; feasibility is monotone because t is
-            // non-increasing on [1, p_max] (Lemma 1).
-            let (mut lo, mut hi) = (1u32, p_max);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if model.time(mid) <= threshold {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            debug_assert!(model.time(lo) <= threshold, "p_max is always feasible");
-            lo
-        }
-    };
+    let initial = min_area_initial(model, p_total, mu, delta(mu));
     Allocation {
         initial,
         capped: initial.min(mu_cap(p_total, mu)),
     }
+}
+
+/// Step 1 of [`allocate`] with `δ(μ)` already computed.
+fn min_area_initial(model: &SpeedupModel, p_total: u32, mu: f64, delta: f64) -> u32 {
+    if let SpeedupModel::Table(_)
+    | SpeedupModel::Formula {
+        nonincreasing: false,
+        ..
+    } = model
+    {
+        return allocate_linear_reference(model, p_total, mu).initial;
+    }
+    let p_max = model.p_max(p_total);
+    let threshold = delta * model.time(p_max) * (1.0 + BETA_RTOL);
+    let p = smallest_feasible(model, p_max, threshold);
+    debug_assert!(model.time(p) <= threshold, "p_max is always feasible");
+    p
+}
+
+/// The smallest `p ∈ [1, p_max]` with `t(p) ≤ threshold`, given that
+/// feasibility is monotone there (Lemma 1) and `p_max` is feasible.
+///
+/// On `[1, p_max]` every Eq. (1)–(4) model reads
+/// `t(p) = w/p + d + c(p−1)` (roofline and general never pass `p̃`
+/// there), so `t(p) ≤ T` is `c·p² − b·p + w ≤ 0` with `b = T + c − d`,
+/// and the answer is the ceiling of the smaller root
+/// `2w / (b + √(b² − 4cw))` (written without cancellation; it is
+/// `w/b` when `c = 0`). The estimate is kept only if the float
+/// predicate holds at `p` and fails at `p − 1`; otherwise the side that
+/// failed is bisected, so a poor estimate costs O(log P), never O(P).
+///
+/// A formula flagged non-increasing has no closed form and bisects
+/// `[1, p_max]`. That is the α-minimizer provided the model is also
+/// area-monotone (Lemma 1's second condition) — the flag's contract.
+fn smallest_feasible(model: &SpeedupModel, p_max: u32, threshold: f64) -> u32 {
+    let (w, d, c) = match *model {
+        SpeedupModel::Roofline { w, .. } => (w, 0.0, 0.0),
+        SpeedupModel::Communication { w, c } => (w, 0.0, c),
+        SpeedupModel::Amdahl { w, d } => (w, d, 0.0),
+        SpeedupModel::General { w, d, c, .. } => (w, d, c),
+        SpeedupModel::Table(_) | SpeedupModel::Formula { .. } => {
+            return bisect_smallest(model, 1, p_max, threshold);
+        }
+    };
+    let b = threshold + c - d;
+    let root = 2.0 * w / (b + (b * b - 4.0 * c * w).max(0.0).sqrt());
+    // `as` saturates: NaN lands on 0 and +inf on u32::MAX, both clamped.
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+    let estimate = (root.ceil() as u32).clamp(1, p_max);
+    settle(model, estimate, p_max, threshold)
+}
+
+/// Confirm `estimate ∈ [1, p_max]` as the smallest feasible `p`, or
+/// bisect the bracket on the side where the check failed.
+fn settle(model: &SpeedupModel, estimate: u32, p_max: u32, threshold: f64) -> u32 {
+    if model.time(estimate) > threshold {
+        bisect_smallest(
+            model,
+            estimate.saturating_add(1).min(p_max),
+            p_max,
+            threshold,
+        )
+    } else if estimate > 1 && model.time(estimate - 1) <= threshold {
+        bisect_smallest(model, 1, estimate - 1, threshold)
+    } else {
+        estimate
+    }
+}
+
+/// Bisection for the smallest `p ∈ [lo, hi]` with `t(p) ≤ threshold`,
+/// where feasibility is monotone and `hi` is feasible.
+fn bisect_smallest(model: &SpeedupModel, mut lo: u32, mut hi: u32, threshold: f64) -> u32 {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if model.time(mid) <= threshold {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 /// Reference implementation of Step 1 by exhaustive scan: among all
@@ -150,6 +216,13 @@ const AREA_RTOL: f64 = 1e-12;
 /// `α ≤ λ` hold *by construction* (integer rounding only shrinks the
 /// area), with no rounding slack.
 ///
+/// Unlike [`allocate`], this keeps the bisection: in floats the area
+/// predicate can have holes where the exact area is flat to within
+/// rounding, and a closed-form estimate with a step-wise fix-up then
+/// stops short of the boundary the bisection and the reference scan
+/// agree on (pinned by the unit test
+/// `dual_keeps_bisection_across_a_float_hole`).
+///
 /// For arbitrary (table / non-monotone closure) models it falls back
 /// to the exhaustive scan of [`allocate_improved_linear_reference`].
 ///
@@ -158,46 +231,45 @@ const AREA_RTOL: f64 = 1e-12;
 /// Panics if `mu ∉ (0, (3−√5)/2]`, `lambda < 1`, or `p_total == 0`.
 #[must_use]
 pub fn allocate_improved(model: &SpeedupModel, p_total: u32, mu: f64, lambda: f64) -> Allocation {
-    assert!(
-        mu > 0.0 && mu <= moldable_model::MU_MAX + 1e-12,
-        "mu must lie in (0, (3-sqrt(5))/2], got {mu}"
-    );
+    assert_mu(mu);
     assert!(
         lambda >= 1.0,
         "the area budget needs lambda >= 1, got {lambda}"
     );
     assert!(p_total >= 1);
-    let initial = match model {
-        SpeedupModel::Table(_)
-        | SpeedupModel::Formula {
-            nonincreasing: false,
-            ..
-        } => {
-            return allocate_improved_linear_reference(model, p_total, mu, lambda);
-        }
-        _ => {
-            let p_max = model.p_max(p_total);
-            let budget = lambda * model.a_min() * (1.0 + AREA_RTOL);
-            // Binary search for the largest p in [1, p_max] with
-            // a(p) <= budget; feasibility is a prefix because the area
-            // is non-decreasing on [1, p_max] (Lemma 1).
-            let (mut lo, mut hi) = (1u32, p_max);
-            while lo < hi {
-                let mid = lo + (hi - lo).div_ceil(2);
-                if model.area(mid) <= budget {
-                    lo = mid;
-                } else {
-                    hi = mid - 1;
-                }
-            }
-            debug_assert!(model.area(lo) <= budget, "p = 1 is always feasible");
-            lo
-        }
-    };
+    let initial = max_budget_initial(model, p_total, mu, lambda);
     Allocation {
         initial,
         capped: initial.min(mu_cap(p_total, mu)),
     }
+}
+
+/// Step 1 of [`allocate_improved`]: the largest `p` within the budget.
+fn max_budget_initial(model: &SpeedupModel, p_total: u32, mu: f64, lambda: f64) -> u32 {
+    if let SpeedupModel::Table(_)
+    | SpeedupModel::Formula {
+        nonincreasing: false,
+        ..
+    } = model
+    {
+        return allocate_improved_linear_reference(model, p_total, mu, lambda).initial;
+    }
+    let p_max = model.p_max(p_total);
+    let budget = lambda * model.a_min() * (1.0 + AREA_RTOL);
+    // Binary search for the largest p in [1, p_max] with
+    // a(p) <= budget; feasibility is a prefix because the area
+    // is non-decreasing on [1, p_max] (Lemma 1).
+    let (mut lo, mut hi) = (1u32, p_max);
+    while lo < hi {
+        let mid = lo + (hi - lo).div_ceil(2);
+        if model.area(mid) <= budget {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
+    }
+    debug_assert!(model.area(lo) <= budget, "p = 1 is always feasible");
+    lo
 }
 
 /// Reference implementation of the dual allocation by exhaustive scan:
@@ -238,6 +310,82 @@ pub fn allocate_improved_linear_reference(
     Allocation {
         initial,
         capped: initial.min(mu_cap(p_total, mu)),
+    }
+}
+
+/// Every model class, in declaration order, so `class as usize`
+/// indexes it.
+const CLASSES: [ModelClass; 5] = [
+    ModelClass::Roofline,
+    ModelClass::Communication,
+    ModelClass::Amdahl,
+    ModelClass::General,
+    ModelClass::Arbitrary,
+];
+
+/// Algorithm 2 for one `(algo, P, μ)`, with the platform's constants
+/// computed once: `δ(μ)`, the cap `⌈μP⌉` and the Improved'23 area
+/// budget `λ` of every model class. [`Allocator::allocate`] returns
+/// exactly what [`AlgoName::allocate`] returns for the same triple, but
+/// a call pays no μ checks, no division for `δ` and no ceiling for the
+/// cap.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Allocator {
+    algo: AlgoName,
+    p_total: u32,
+    mu: f64,
+    delta: f64,
+    cap: u32,
+    /// `algo.lambda(class)`, indexed by `class as usize`.
+    lambda: [f64; 5],
+}
+
+impl Allocator {
+    /// The allocator for `algo` on a `P = p_total` platform with
+    /// parameter `μ`.
+    ///
+    /// # Panics
+    ///
+    /// Same contract as [`allocate`]: `μ ∈ (0, (3−√5)/2]`,
+    /// `p_total ≥ 1`.
+    pub(crate) fn new(algo: AlgoName, p_total: u32, mu: f64) -> Self {
+        assert_mu(mu);
+        assert!(p_total >= 1);
+        Self {
+            algo,
+            p_total,
+            mu,
+            delta: delta(mu),
+            cap: mu_cap(p_total, mu),
+            lambda: CLASSES.map(|class| algo.lambda(class)),
+        }
+    }
+
+    pub(crate) fn algo(&self) -> AlgoName {
+        self.algo
+    }
+
+    pub(crate) fn p_total(&self) -> u32 {
+        self.p_total
+    }
+
+    pub(crate) fn mu(&self) -> f64 {
+        self.mu
+    }
+
+    /// This platform's local allocation for one task.
+    pub(crate) fn allocate(&self, model: &SpeedupModel) -> Allocation {
+        let initial = match self.algo {
+            AlgoName::Icpp22 => min_area_initial(model, self.p_total, self.mu, self.delta),
+            AlgoName::Improved23 => {
+                let lambda = self.lambda[model.class() as usize];
+                max_budget_initial(model, self.p_total, self.mu, lambda)
+            }
+        };
+        Allocation {
+            initial,
+            capped: initial.min(self.cap),
+        }
     }
 }
 
@@ -310,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn binary_search_matches_linear_reference() {
+    fn closed_form_matches_linear_reference() {
         for mu in [0.211, 0.271, 0.324, MU_MAX] {
             for p_total in [1u32, 2, 3, 7, 32, 100] {
                 let models = [
@@ -327,6 +475,21 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_wrong_estimate_settles_on_the_boundary() {
+        // Whatever the estimate, bisecting the side whose check failed
+        // lands on the true smallest feasible p.
+        let m = SpeedupModel::amdahl(1000.0, 1.0).unwrap();
+        let p_max = m.p_max(512);
+        let threshold = delta(0.2) * m.time(p_max) * (1.0 + BETA_RTOL);
+        let want = bisect_smallest(&m, 1, p_max, threshold);
+        assert!(want > 2 && want < p_max);
+        assert_eq!(smallest_feasible(&m, p_max, threshold), want);
+        for estimate in [1, want - 2, want - 1, want, want + 1, want + 9, p_max] {
+            assert_eq!(settle(&m, estimate, p_max, threshold), want, "{estimate}");
         }
     }
 
@@ -478,6 +641,58 @@ mod tests {
         let a = allocate_improved(&m, p_total, 0.331, 1.2361);
         assert_eq!(a.capped, mu_cap(p_total, 0.331));
         assert!(a.initial > a.capped);
+    }
+
+    #[test]
+    fn dual_keeps_bisection_across_a_float_hole() {
+        // The dual's area predicate is not monotone in floats: here the
+        // slope d/w of a(p) = w + d·p is below f64 resolution, so the
+        // computed areas around the boundary round up and down. The
+        // feasible set skips 38 159, and a closed form with a
+        // step-wise fix-up would stop at 38 158; bisection and the
+        // reference scan agree on 38 160.
+        let m = SpeedupModel::amdahl(456_537_315.488_758, 1.196_605_730_534_834_6e-8).unwrap();
+        let p_total = 57_141;
+        let budget = m.a_min() * (1.0 + AREA_RTOL);
+        assert!(m.area(38_158) <= budget);
+        assert!(m.area(38_159) > budget, "the hole");
+        assert!(m.area(38_160) <= budget);
+        let a = allocate_improved(&m, p_total, 0.3, 1.0);
+        assert_eq!(a.initial, 38_160);
+        assert_eq!(a, allocate_improved_linear_reference(&m, p_total, 0.3, 1.0));
+    }
+
+    #[test]
+    fn classes_are_listed_in_declaration_order() {
+        for (i, class) in CLASSES.into_iter().enumerate() {
+            assert_eq!(class as usize, i, "{class}");
+        }
+    }
+
+    #[test]
+    fn allocator_matches_the_public_functions() {
+        let models = [
+            SpeedupModel::roofline(123.0, 77).unwrap(),
+            SpeedupModel::communication(345.0, 0.9).unwrap(),
+            SpeedupModel::amdahl(512.0, 3.0).unwrap(),
+            SpeedupModel::general(800.0, 60, 2.0, 0.4).unwrap(),
+            SpeedupModel::table(vec![10.0, 2.0, 3.0, 1.2]).unwrap(),
+            SpeedupModel::formula(|p| 10.0 / f64::from(p) + 1.0, true),
+        ];
+        for algo in crate::ALGOS {
+            for mu in [0.05, 0.210_687, 0.331, MU_MAX] {
+                for p_total in [1u32, 7, 128] {
+                    let allocator = Allocator::new(algo, p_total, mu);
+                    for m in &models {
+                        assert_eq!(
+                            allocator.allocate(m),
+                            algo.allocate(m, p_total, mu),
+                            "{algo} {m:?} P={p_total} mu={mu}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

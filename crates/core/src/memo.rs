@@ -2,11 +2,11 @@
 //!
 //! The adversarial instances of Theorems 6–8 release *millions* of
 //! tasks that share a handful of distinct speedup models, and every
-//! release used to re-run the Algorithm 2 binary search. An
-//! [`AllocCache`] interns `(model parameters) → Allocation` for one
-//! fixed `(P, μ)` pair — the pair is fixed per scheduler run, so it
-//! lives in the cache, not the key — and makes repeat allocations a
-//! hash lookup.
+//! release used to re-run Algorithm 2. An [`AllocCache`] interns
+//! `(model parameters) → Allocation` for one fixed `(algo, P, μ)`
+//! triple — the triple is fixed per scheduler run, so it lives in the
+//! cache (as its `Allocator`, which holds the platform's constants),
+//! not in the key — and makes repeat allocations a hash lookup.
 //!
 //! Keys are exact: closed-form models key on the *bit patterns* of
 //! their parameters (two models collide only if they are
@@ -21,6 +21,7 @@ use std::sync::Arc;
 
 use moldable_model::SpeedupModel;
 
+use crate::allocator::Allocator;
 use crate::registry::AlgoName;
 use crate::Allocation;
 
@@ -70,9 +71,8 @@ impl ModelKey {
 /// and μ.
 #[derive(Debug)]
 pub struct AllocCache {
-    algo: AlgoName,
-    p_total: u32,
-    mu: f64,
+    /// Algorithm 2 for the cache's `(algo, P, μ)`, run on every miss.
+    allocator: Allocator,
     map: HashMap<ModelKey, Allocation>,
     /// Clones of every closure seen, pinning their addresses for the
     /// cache's lifetime (see module docs).
@@ -108,15 +108,8 @@ impl AllocCache {
     /// `p_total ≥ 1`.
     #[must_use]
     pub fn for_algo(algo: AlgoName, p_total: u32, mu: f64) -> Self {
-        assert!(
-            mu > 0.0 && mu <= moldable_model::MU_MAX + 1e-12,
-            "mu must lie in (0, (3-sqrt(5))/2], got {mu}"
-        );
-        assert!(p_total >= 1);
         Self {
-            algo,
-            p_total,
-            mu,
+            allocator: Allocator::new(algo, p_total, mu),
             map: HashMap::new(),
             pinned: Vec::new(),
             probes: 0,
@@ -127,19 +120,19 @@ impl AllocCache {
     /// Platform size this cache was built for.
     #[must_use]
     pub fn p_total(&self) -> u32 {
-        self.p_total
+        self.allocator.p_total()
     }
 
     /// The μ this cache was built for.
     #[must_use]
     pub fn mu(&self) -> f64 {
-        self.mu
+        self.allocator.mu()
     }
 
     /// The algorithm this cache memoizes.
     #[must_use]
     pub fn algo(&self) -> AlgoName {
-        self.algo
+        self.allocator.algo()
     }
 
     /// Whether this cache's decisions are valid for the given
@@ -154,7 +147,7 @@ impl AllocCache {
     /// `(algo, P, μ)` triple (exact match; μ compared by bit pattern).
     #[must_use]
     pub fn matches_algo(&self, algo: AlgoName, p_total: u32, mu: f64) -> bool {
-        self.algo == algo && self.p_total == p_total && self.mu.to_bits() == mu.to_bits()
+        self.algo() == algo && self.p_total() == p_total && self.mu().to_bits() == mu.to_bits()
     }
 
     /// The local allocation through the cache: identical to
@@ -171,9 +164,14 @@ impl AllocCache {
         if matches!(model, SpeedupModel::Formula { .. }) {
             self.pinned.push(model.clone());
         }
-        let allocation = self.algo.allocate(model, self.p_total, self.mu);
+        let allocation = self.allocator.allocate(model);
         self.map.insert(key, allocation);
         allocation
+    }
+
+    /// The cache's [`Allocator`], for callers that skip the map.
+    pub(crate) fn allocator(&self) -> &Allocator {
+        &self.allocator
     }
 
     /// Number of distinct models interned so far.

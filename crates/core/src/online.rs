@@ -247,17 +247,16 @@ impl OnlineScheduler {
     }
 
     /// Algorithm 2 through the cache until the observed hit rate proves
-    /// the workload has (almost) no repeat models, directly afterwards.
-    /// [`crate::allocate`] is a pure function of `(model, P, μ)`, so the
-    /// switch can never change a decision — it only stops paying a hash
-    /// insert per distinct model (on a million-task instance with
-    /// per-task sampled work, that insert is the single largest release
-    /// cost).
+    /// the workload has (almost) no repeat models, afterwards straight
+    /// through the cache's allocator, which holds the platform's
+    /// constants. [`crate::allocate`] is a pure function of
+    /// `(model, P, μ)`, so the switch can never change a decision — it
+    /// only stops paying a hash insert per distinct model (on a
+    /// million-task instance with per-task sampled work, that insert is
+    /// the single largest release cost).
     fn allocate(&mut self, model: &SpeedupModel) -> Allocation {
-        if self.bypass_cache {
-            return self.algo.allocate(model, self.p_total, self.mu);
-        }
         match self.cache.as_mut() {
+            Some(cache) if self.bypass_cache => cache.allocator().allocate(model),
             Some(cache) => {
                 let allocation = cache.allocate(model);
                 // Deterministic bypass rule: enough evidence, and
