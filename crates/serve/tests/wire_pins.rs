@@ -246,7 +246,7 @@ fn frame_errors_and_close_policy_are_pinned() {
 #[test]
 fn session_verbs_are_pinned() {
     assert_pinned(
-        0xd463_b6d6_c105_2377,
+        0xd0dc_fb9a_ded2_797a,
         |_| {},
         |_, addr| {
             let mut stream = TcpStream::connect(addr).expect("connect");
@@ -268,16 +268,19 @@ fn session_verbs_are_pinned() {
             }
             let close = r#"{"type":"close_session","session":"s0"}"#;
             out.push(roundtrip(&mut stream, close.as_bytes()));
-            // Drain the deterministic event log to `closed`.
+            // Drain the deterministic event log to `closed` (the
+            // encoder writes no whitespace).
+            let mut closed = false;
             for _ in 0..100 {
                 let poll = r#"{"type":"poll","session":"s0","max_events":64}"#;
                 let reply = roundtrip(&mut stream, poll.as_bytes());
-                let done = reply.contains("\"closed\": true");
+                closed = reply.contains("\"closed\":true");
                 out.push(reply);
-                if done {
+                if closed {
                     break;
                 }
             }
+            assert!(closed, "the session never reported closed");
             out
         },
     );
