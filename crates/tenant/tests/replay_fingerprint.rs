@@ -162,16 +162,16 @@ fn run_many_slot_workload() -> String {
         ("cholesky", 2),
         ("chain", 1),
     ];
-    let mut submit = |svc: &mut TenantService, idx: usize, label: &str, round: usize| {
+    let submit = |svc: &mut TenantService, idx: usize, label: &str, round: usize| {
         let (shape, size) = shapes[(idx + round) % shapes.len()];
-        let class = if (idx + 2 * round) % 3 == 0 {
+        let class = if (idx + 2 * round).is_multiple_of(3) {
             ModelClass::General
         } else {
             ModelClass::Amdahl
         };
         let seed = (round * 1000 + idx) as u64;
         let g = Arc::new(gen::by_name(shape, size, class, P, seed).unwrap());
-        let algo = if (idx * 7 + round) % 3 == 0 {
+        let algo = if (idx * 7 + round).is_multiple_of(3) {
             AlgoName::Improved23
         } else {
             ALGO
