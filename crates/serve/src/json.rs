@@ -141,7 +141,9 @@ pub fn obj(members: Vec<(&str, Json)>) -> Json {
     )
 }
 
-fn write_num(n: f64, out: &mut String) {
+/// Append `n` as a JSON number, exactly as [`Json::encode`] writes
+/// `Json::Num(n)`.
+pub(crate) fn write_num(n: f64, out: &mut String) {
     use fmt::Write as _;
     if !n.is_finite() {
         // JSON has no Inf/NaN; null is the least-surprising encoding.

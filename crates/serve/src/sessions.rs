@@ -20,9 +20,9 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use moldable_graph::{gen, parse_workflow, TaskGraph, TraceFormat};
-use moldable_tenant::{EventKind, Ledger, TenantConfig, TenantError, TenantService};
+use moldable_tenant::{EventKind, Ledger, PollReply, TenantConfig, TenantError, TenantService};
 
-use crate::json::{obj, Json};
+use crate::json::{obj, write_num, Json};
 use crate::proto::{
     error_reply, quota_reply, CloseSessionRequest, GraphSpec, OpenSessionRequest, PollRequest,
     SubmitDagRequest,
@@ -139,24 +139,17 @@ impl SessionHub {
         let now_ms = self.now_ms();
         let until = req.until.unwrap_or(f64::NEG_INFINITY);
         let max_events = usize::try_from(req.max_events).unwrap_or(usize::MAX);
-        let mut svc = self.svc.lock().expect("session service poisoned");
-        svc.tick(now_ms);
-        match svc.poll(&req.session, until, max_events, now_ms) {
+        let polled = {
+            let mut svc = self.svc.lock().expect("session service poisoned");
+            svc.tick(now_ms);
+            svc.poll(&req.session, until, max_events, now_ms)
+        };
+        match polled {
             Ok(r) => {
                 stats
                     .session_events_delivered
                     .fetch_add(r.events.len() as u64, std::sync::atomic::Ordering::Relaxed);
-                let events: Vec<Json> = r.events.iter().map(event_json).collect();
-                #[allow(clippy::cast_precision_loss)]
-                obj(vec![
-                    ("status", Json::Str("ok".into())),
-                    ("now", Json::Num(r.now)),
-                    ("pending_events", Json::Num(r.pending_events as f64)),
-                    ("closed", Json::Bool(r.closed)),
-                    ("events", Json::Arr(events)),
-                ])
-                .encode()
-                .into_bytes()
+                poll_reply(&r)
             }
             Err(e) => tenant_error_reply(&e),
         }
@@ -274,25 +267,44 @@ fn tenant_error_reply(e: &TenantError) -> Vec<u8> {
     }
 }
 
-fn event_json(e: &moldable_tenant::SessionEvent) -> Json {
-    #[allow(clippy::cast_precision_loss)]
-    let mut members = vec![
-        ("seq", Json::Num(e.seq as f64)),
-        ("dag", Json::Num(f64::from(e.dag))),
-    ];
-    match e.kind {
-        EventKind::TaskDone { task, end, procs } => {
-            members.push(("type", Json::Str("task_done".into())));
-            members.push(("task", Json::Num(f64::from(task))));
-            members.push(("end", Json::Num(end)));
-            members.push(("procs", Json::Num(f64::from(procs))));
+/// The `ok` reply to `poll`, written straight into one buffer: the
+/// bytes [`Json::encode`] would give for the same members, without a
+/// tree of owned keys per event.
+#[allow(clippy::cast_precision_loss)]
+fn poll_reply(r: &PollReply) -> Vec<u8> {
+    let mut out = String::with_capacity(80 + 96 * r.events.len());
+    out.push_str("{\"status\":\"ok\",\"now\":");
+    write_num(r.now, &mut out);
+    out.push_str(",\"pending_events\":");
+    write_num(r.pending_events as f64, &mut out);
+    out.push_str(if r.closed {
+        ",\"closed\":true,\"events\":["
+    } else {
+        ",\"closed\":false,\"events\":["
+    });
+    for (i, e) in r.events.iter().enumerate() {
+        out.push_str(if i == 0 { "{\"seq\":" } else { ",{\"seq\":" });
+        write_num(e.seq as f64, &mut out);
+        out.push_str(",\"dag\":");
+        write_num(f64::from(e.dag), &mut out);
+        match e.kind {
+            EventKind::TaskDone { task, end, procs } => {
+                out.push_str(",\"type\":\"task_done\",\"task\":");
+                write_num(f64::from(task), &mut out);
+                out.push_str(",\"end\":");
+                write_num(end, &mut out);
+                out.push_str(",\"procs\":");
+                write_num(f64::from(procs), &mut out);
+            }
+            EventKind::DagDone { at } => {
+                out.push_str(",\"type\":\"dag_done\",\"at\":");
+                write_num(at, &mut out);
+            }
         }
-        EventKind::DagDone { at } => {
-            members.push(("type", Json::Str("dag_done".into())));
-            members.push(("at", Json::Num(at)));
-        }
+        out.push('}');
     }
-    obj(members)
+    out.push_str("]}");
+    out.into_bytes()
 }
 
 #[allow(clippy::cast_precision_loss)]
@@ -595,5 +607,87 @@ mod tests {
         assert_eq!(r.get("status").unwrap().as_str(), Some("error"));
         let summary = hub.summary_json();
         assert_eq!(summary.get("sessions_open").unwrap().as_u64(), Some(0));
+    }
+
+    /// The reply `poll` built as a [`Json`] tree before it wrote bytes
+    /// directly: the reference [`poll_reply`] must match byte for byte.
+    #[allow(clippy::cast_precision_loss)]
+    fn poll_reply_tree(r: &PollReply) -> Json {
+        let events = r
+            .events
+            .iter()
+            .map(|e| {
+                let mut members = vec![
+                    ("seq", Json::Num(e.seq as f64)),
+                    ("dag", Json::Num(f64::from(e.dag))),
+                ];
+                match e.kind {
+                    EventKind::TaskDone { task, end, procs } => {
+                        members.push(("type", Json::Str("task_done".into())));
+                        members.push(("task", Json::Num(f64::from(task))));
+                        members.push(("end", Json::Num(end)));
+                        members.push(("procs", Json::Num(f64::from(procs))));
+                    }
+                    EventKind::DagDone { at } => {
+                        members.push(("type", Json::Str("dag_done".into())));
+                        members.push(("at", Json::Num(at)));
+                    }
+                }
+                obj(members)
+            })
+            .collect();
+        obj(vec![
+            ("status", Json::Str("ok".into())),
+            ("now", Json::Num(r.now)),
+            ("pending_events", Json::Num(r.pending_events as f64)),
+            ("closed", Json::Bool(r.closed)),
+            ("events", Json::Arr(events)),
+        ])
+    }
+
+    #[test]
+    fn poll_replies_are_the_json_tree_encoding_byte_for_byte() {
+        use moldable_tenant::SessionEvent;
+        let ends = [
+            0.0,
+            0.300_532_698_970_390_1,
+            7.0,
+            12.581_268_821_133_037,
+            1e-9,
+            3.5e15,
+            9.007_199_254_740_992e15,
+            1e300,
+        ];
+        let mut events = Vec::new();
+        for (i, &end) in ends.iter().enumerate() {
+            let seq = [0, 1, 1 << 40, (1 << 53) - 1][i % 4];
+            let dag = [0, 7, u32::MAX][i % 3];
+            events.push(SessionEvent {
+                seq,
+                dag,
+                kind: EventKind::TaskDone {
+                    task: u32::try_from(i).unwrap() * 1000,
+                    end,
+                    procs: [1, 18, 64][i % 3],
+                },
+            });
+            events.push(SessionEvent {
+                seq: seq + 1,
+                dag,
+                kind: EventKind::DagDone { at: end },
+            });
+        }
+        for n in [0, 1, 2, events.len()] {
+            for (now, closed) in [(0.0, false), (12.581_268_821_133_037, true), (1e21, false)] {
+                let r = PollReply {
+                    events: events[..n].to_vec(),
+                    now,
+                    pending_events: n * 3,
+                    closed,
+                };
+                let got = String::from_utf8(poll_reply(&r)).unwrap();
+                assert_eq!(got, poll_reply_tree(&r).encode(), "{n} events");
+            }
+        }
     }
 }
