@@ -35,7 +35,14 @@
 //!   `submit_batch` frames. Every reply's makespan is asserted
 //!   bit-equal to the service-layer expectation; CI gates the plain
 //!   row at ≥ 1.5× the batched row's wall time (same clients, same
-//!   workers, so the ratio is per-frame overhead).
+//!   workers, so the ratio is per-frame overhead);
+//! * `session_world_200x25` — the streaming session layer in process:
+//!   a [`moldable_serve::SessionHub`] on the daemon's default platform
+//!   (P = 64) opens 4 tenants × 50 sessions and takes 25 rounds of
+//!   Cholesky size-4 DAGs into each (`build_secs`), then closes every
+//!   session and polls each one dry (`sim_secs`, where the shared
+//!   world advances under the DRR scheduler); the makespan is the
+//!   world's final clock.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -477,6 +484,99 @@ fn serve_epoll(batch: usize) -> Measurement {
     }
 }
 
+/// The session hub through the `serve_sessions` benchmark shape, with
+/// quotas raised so nothing is refused. Every request is asserted
+/// `ok`, and every session must report `closed`.
+fn session_world() -> Measurement {
+    use moldable_serve::json::Json;
+    use moldable_serve::proto::{
+        CloseSessionRequest, GraphSpec, OpenSessionRequest, PollRequest, SubmitDagRequest,
+    };
+    const TENANTS: usize = 4;
+    const PER_TENANT: usize = 50;
+    const ROUNDS: usize = 25;
+    let mut cfg = moldable_serve::ServerConfig::default().tenant;
+    cfg.quotas.max_sessions = 1_000;
+    cfg.quotas.max_dags_in_flight = 4_000_000;
+    cfg.quotas.max_tasks_in_flight = 1_000_000_000;
+    let hub = moldable_serve::SessionHub::new(cfg, moldable_serve::ServiceLimits::default());
+    let stats = moldable_serve::ServerStats::new();
+    let ok = |reply: Vec<u8>| {
+        let reply = moldable_serve::json::parse(std::str::from_utf8(&reply).expect("utf8"))
+            .expect("json reply");
+        assert_eq!(
+            reply.get("status").and_then(Json::as_str),
+            Some("ok"),
+            "{}",
+            reply.encode()
+        );
+        reply
+    };
+    let session = |idx: usize| format!("t{}-s{}", idx / PER_TENANT, idx % PER_TENANT);
+
+    let t0 = Instant::now();
+    for idx in 0..TENANTS * PER_TENANT {
+        let req = OpenSessionRequest {
+            tenant: format!("t{}", idx / PER_TENANT),
+            session: session(idx),
+        };
+        ok(hub.open(&req, &stats));
+    }
+    for round in 0..ROUNDS {
+        for idx in 0..TENANTS * PER_TENANT {
+            let req = SubmitDagRequest {
+                session: session(idx),
+                at: round as f64,
+                graph: GraphSpec::Named {
+                    shape: "cholesky".into(),
+                    size: 4,
+                },
+                model: "amdahl".into(),
+                seed: (round * TENANTS * PER_TENANT + idx) as u64,
+                algo: "icpp22".into(),
+            };
+            ok(hub.submit_dag(&req, &stats));
+        }
+    }
+    let build_secs = t0.elapsed().as_secs_f64();
+
+    let t0 = Instant::now();
+    for idx in 0..TENANTS * PER_TENANT {
+        ok(hub.close(
+            &CloseSessionRequest {
+                session: session(idx),
+            },
+            &stats,
+        ));
+    }
+    for idx in 0..TENANTS * PER_TENANT {
+        let req = PollRequest {
+            session: session(idx),
+            until: None,
+            max_events: 4096,
+        };
+        while ok(hub.poll(&req, &stats))
+            .get("closed")
+            .and_then(Json::as_bool)
+            != Some(true)
+        {}
+    }
+    let sim_secs = t0.elapsed().as_secs_f64();
+    let world = hub.summary_json();
+    let n_tasks = world
+        .get("tasks_completed")
+        .and_then(Json::as_u64)
+        .expect("tasks_completed") as usize;
+    assert_eq!(n_tasks, ROUNDS * TENANTS * PER_TENANT * 20, "every DAG ran");
+    Measurement {
+        name: "session_world_200x25",
+        n_tasks,
+        build_secs,
+        sim_secs,
+        makespan: world.get("now").and_then(Json::as_f64).expect("now"),
+    }
+}
+
 fn main() {
     println!("Engine throughput smoke test\n");
     let runs = [
@@ -493,6 +593,7 @@ fn main() {
         serve_service(false),
         serve_epoll(1),
         serve_epoll(32),
+        session_world(),
     ];
     let by_name = |name: &str| {
         runs.iter()
