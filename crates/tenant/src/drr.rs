@@ -36,9 +36,10 @@
 //! finds the next slot in cyclic order whose head fits the free
 //! processors. A decision point therefore touches only the slots that
 //! can start something; when no head fits, it returns after one read
-//! of the tree's root. Replenishing is the one pass over every slot:
-//! it applies the same float operations in the same order as a plain
-//! loop would, so deficits stay bit-exact, not merely the decisions.
+//! of the tree's root. Replenishing stays one pass over every slot:
+//! each non-empty queue's deficit takes a rounded add-and-cap with
+//! that instant's quantum, and folding those additions across instants
+//! would change the deficits' bits, not only the decisions.
 
 use std::collections::VecDeque;
 
@@ -154,7 +155,6 @@ pub struct DrrScheduler {
     /// order); a task allocates through its DAG's algorithm.
     caches: [AllocCache; ALGOS.len()],
     p_total: u32,
-    mu: f64,
     /// Global task id → owning slot; appended by
     /// [`DrrScheduler::register_tasks`] before the tasks can release.
     task_slot: Vec<u32>,
@@ -187,7 +187,6 @@ impl DrrScheduler {
         Self {
             caches: ALGOS.map(|a| AllocCache::for_algo(a, p_total, mu)),
             p_total,
-            mu,
             task_slot: Vec::new(),
             task_algo: Vec::new(),
             queues: Vec::new(),
@@ -330,7 +329,7 @@ impl Scheduler for DrrScheduler {
         debug_assert_eq!(cache.algo(), algo);
         let procs = cache.allocate(model).capped;
         if cache.len() > CACHE_LIMIT {
-            *cache = AllocCache::for_algo(algo, self.p_total, self.mu);
+            *cache = AllocCache::for_algo(algo, self.p_total, cache.mu());
         }
         let queue = &mut self.queues[slot];
         queue.push_back(Ready { task, procs });
