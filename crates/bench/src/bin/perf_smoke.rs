@@ -20,10 +20,9 @@
 //!   run-grouping stress case);
 //! * `thm9_adaptive_l4` — the Theorem 9 adaptive chain adversary at
 //!   ℓ = 4 (P = 524 288, instance revealed task by task);
-//! * `wide_50k_{indexed,reference}_queue` — 50 000 independent tasks
-//!   on P = 64, a deep-ready-queue stress run under the default indexed
-//!   queue and the reference sorted-`Vec` scan (identical makespans,
-//!   different clocks);
+//! * `wide_50k_indexed_queue` — 50 000 independent tasks on P = 64, a
+//!   deep-ready-queue stress run (tens of thousands of waiting tasks
+//!   in the indexed queue's treap tier);
 //! * `serve_direct_500`, `serve_service_{cached,uncached}_500` — the
 //!   same 500 scheduling requests (cholesky size 6, P = 64, 16 seeds)
 //!   executed as bare generate+simulate and through the service layer
@@ -184,8 +183,8 @@ fn thm9_adaptive() -> Measurement {
 
 /// 50 000 independent tasks on P = 64: the ready queue holds tens of
 /// thousands of waiting tasks, the regime where the indexed queue's
-/// O(log n) operations separate from the reference scan's O(n).
-fn wide_50k(reference: bool) -> Measurement {
+/// O(log n) operations separate from a sorted scan's O(n).
+fn wide_50k() -> Measurement {
     let p_total = 64;
     let t0 = Instant::now();
     let dist = ParamDistribution::default();
@@ -195,19 +194,12 @@ fn wide_50k(reference: bool) -> Measurement {
     let build_secs = t0.elapsed().as_secs_f64();
 
     let mut sched = OnlineScheduler::for_class(ModelClass::General);
-    if reference {
-        sched = sched.with_reference_queue();
-    }
     let t1 = Instant::now();
     let s = simulate(&g, &mut sched, &SimOptions::new(p_total)).expect("simulates");
     let sim_secs = t1.elapsed().as_secs_f64();
     assert_eq!(s.placements.len(), g.n_tasks());
     Measurement {
-        name: if reference {
-            "wide_50k_reference_queue"
-        } else {
-            "wide_50k_indexed_queue"
-        },
+        name: "wide_50k_indexed_queue",
         n_tasks: g.n_tasks(),
         build_secs,
         sim_secs,
@@ -584,8 +576,7 @@ fn main() {
         allocate_general_1m(),
         thm6_communication(),
         thm9_adaptive(),
-        wide_50k(false),
-        wide_50k(true),
+        wide_50k(),
         graph_build(false),
         graph_build(true),
         serve_direct(),
@@ -600,13 +591,6 @@ fn main() {
             .find(|m| m.name == name)
             .unwrap_or_else(|| panic!("no run named {name}"))
     };
-    // Same instance, same decisions: only the queue implementation
-    // (and therefore the wall clock) may differ between these.
-    assert_eq!(
-        by_name("wide_50k_indexed_queue").makespan,
-        by_name("wide_50k_reference_queue").makespan,
-        "queues must agree"
-    );
     // The serve paths execute identical request streams: the wire and
     // service layers — and the frozen-graph cache — must not change a
     // single scheduling decision.

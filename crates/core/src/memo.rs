@@ -15,6 +15,13 @@
 //! on the `Arc` pointer identity, with a clone of the `Arc` pinned in
 //! the cache so an address can never be recycled for a different
 //! closure while the cache lives.
+//!
+//! [`AllocCache::decide`] is the release-path policy the schedulers
+//! call: it reuses the previous decision for a bitwise-equal model,
+//! stops interning once the hit rate shows the models never repeat
+//! ([`BYPASS_MIN_PROBES`]), and keeps at most [`MEMO_LIMIT`] models.
+//! None of the three can change a decision, because Algorithm 2 is a
+//! pure function of `(model, P, μ, algo)`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -66,6 +73,21 @@ impl ModelKey {
     }
 }
 
+/// Probes an [`AllocCache`] must answer before [`AllocCache::decide`]
+/// may conclude the cache is useless and bypass it. Large enough that
+/// every adversarial witness in the test corpus (thousands of tasks
+/// over a handful of models) warms the cache normally, small enough
+/// that a million-task sampled workload stops paying interning after
+/// the first few thousand releases.
+pub const BYPASS_MIN_PROBES: u64 = 4096;
+
+/// Models an [`AllocCache`] interns through [`AllocCache::decide`]
+/// before its map is dropped and refilled from empty, so a long-lived
+/// cache whose models rarely repeat never holds one entry per task it
+/// was ever asked about. The serve workers bound the sum of their
+/// memos by the same number.
+pub const MEMO_LIMIT: usize = 1 << 16;
+
 /// Memoized front-end to the local allocation ([`allocate`](crate::allocate) or
 /// [`allocate_improved`](crate::allocate_improved), per [`AlgoName`]) for a fixed platform size
 /// and μ.
@@ -81,6 +103,8 @@ pub struct AllocCache {
     probes: u64,
     /// Lookups answered from the map.
     hits: u64,
+    /// The model [`AllocCache::decide`] saw last and its decision.
+    last: Option<(SpeedupModel, Allocation)>,
 }
 
 impl AllocCache {
@@ -114,6 +138,7 @@ impl AllocCache {
             pinned: Vec::new(),
             probes: 0,
             hits: 0,
+            last: None,
         }
     }
 
@@ -169,9 +194,38 @@ impl AllocCache {
         allocation
     }
 
-    /// The cache's [`Allocator`], for callers that skip the map.
-    pub(crate) fn allocator(&self) -> &Allocator {
-        &self.allocator
+    /// The local allocation under the release-path memo policy, for
+    /// schedulers that allocate each released task once. Always equal
+    /// to [`AllocCache::allocate`]'s answer, with three shortcuts:
+    ///
+    /// * **Run grouping.** A model [`SpeedupModel::bitwise_eq`] to the
+    ///   previous one reuses that decision without touching the map:
+    ///   tasks released together often share a model (chain bundles,
+    ///   adversarial phases, graphs built from a few weight classes).
+    /// * **Bypass.** Once at least [`BYPASS_MIN_PROBES`] probes have
+    ///   hit less than 1 time in 16, the models are (almost) all
+    ///   distinct and a hash-and-insert per call is pure overhead, so
+    ///   Algorithm 2 runs directly and the counters stop moving.
+    /// * **Bound.** A map that grows past [`MEMO_LIMIT`] models is
+    ///   dropped and refills from empty.
+    pub fn decide(&mut self, model: &SpeedupModel) -> Allocation {
+        if let Some((prev, allocation)) = &self.last {
+            if prev.bitwise_eq(model) {
+                return *allocation;
+            }
+        }
+        let allocation = if self.probes >= BYPASS_MIN_PROBES && self.hits * 16 < self.probes {
+            self.allocator.allocate(model)
+        } else {
+            let allocation = self.allocate(model);
+            if self.map.len() > MEMO_LIMIT {
+                self.map.clear();
+                self.pinned.clear();
+            }
+            allocation
+        };
+        self.last = Some((model.clone(), allocation));
+        allocation
     }
 
     /// Number of distinct models interned so far.
@@ -188,9 +242,8 @@ impl AllocCache {
 
     /// Lifetime number of probes answered from the map. A hit rate of
     /// `hits / probes` near zero means every task carries a distinct
-    /// model and the cache is pure overhead — the online scheduler's
-    /// release path uses exactly this signal to switch to direct
-    /// Algorithm 2 calls.
+    /// model and the cache is pure overhead — [`AllocCache::decide`]
+    /// uses exactly this signal to switch to direct Algorithm 2 calls.
     #[must_use]
     pub fn hits(&self) -> u64 {
         self.hits
@@ -298,6 +351,36 @@ mod tests {
         let c = AllocCache::new(16, 0.3);
         assert!(c.matches(16, 0.3));
         assert_eq!(c.algo(), AlgoName::Icpp22);
+    }
+
+    #[test]
+    fn decide_bounds_the_memo_without_changing_decisions() {
+        // A new model on every other call and one of two repeated
+        // models in between: the hit rate stays near 1/2, far above the
+        // bypass threshold, so only `MEMO_LIMIT` bounds the map.
+        const P: u32 = 64;
+        const MU: f64 = 0.3;
+        let repeats = [
+            SpeedupModel::amdahl(64.0, 2.0).unwrap(),
+            SpeedupModel::roofline(64.0, 8).unwrap(),
+        ];
+        let mut cache = AllocCache::new(P, MU);
+        let (mut peak, mut calls) = (0, 0);
+        for i in 0..MEMO_LIMIT + 4_000 {
+            let fresh = SpeedupModel::amdahl(1.0 + i as f64 * 1e-3, 0.5).unwrap();
+            for m in [&fresh, &repeats[i % 2]] {
+                assert_eq!(
+                    cache.decide(m),
+                    AlgoName::Icpp22.allocate(m, P, MU),
+                    "call {calls}"
+                );
+                calls += 1;
+                assert!(cache.len() <= MEMO_LIMIT, "{} models held", cache.len());
+                peak = peak.max(cache.len());
+            }
+        }
+        assert_eq!(peak, MEMO_LIMIT, "the bound was reached");
+        assert_eq!(cache.probes(), calls, "the bypass never triggered");
     }
 
     #[test]

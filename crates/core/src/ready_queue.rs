@@ -35,9 +35,10 @@
 //! only decreases while scanning: a task skipped at some point in key
 //! order stays infeasible for the rest of that decision point.
 //!
-//! [`LinearQueue`] keeps the original sorted-`Vec` behaviour as an
-//! executable specification; differential tests drive both and demand
-//! identical start orders.
+//! The original sorted-`Vec` queue survives as `LinearQueue` in this
+//! module's tests, the operation-by-operation oracle the unit tests
+//! drive the indexed queue against; the online scheduler's schedules
+//! are pinned by FNV fingerprints in `tests/queue_equivalence.rs`.
 //!
 //! Treap priorities come from the in-tree SplitMix64 stream seeded per
 //! queue, so the tree shape — though never the *observable* queue
@@ -62,53 +63,6 @@ pub struct ReadyItem {
 
 fn key_lt(a: (f64, u64), b: (f64, u64)) -> bool {
     a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
-}
-
-/// Queue interface shared by the indexed and reference implementations.
-pub trait ReadyQueue {
-    /// Insert a released task. Its key must be unique and its
-    /// allocation below `u32::MAX`, which [`ReadyItem::alloc`] reserves.
-    fn push(&mut self, item: ReadyItem);
-    /// Remove and return the first task in key order with
-    /// `alloc ≤ free`, if any.
-    fn pop_first_fit(&mut self, free: u32) -> Option<ReadyItem>;
-    /// Number of waiting tasks.
-    fn len(&self) -> usize;
-    /// Whether the queue is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Reference implementation: a `Vec` kept sorted by key, scanned
-/// linearly — the executable specification of queue behaviour.
-#[derive(Debug, Default)]
-pub struct LinearQueue {
-    items: Vec<ReadyItem>,
-}
-
-impl LinearQueue {
-    /// An empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl ReadyQueue for LinearQueue {
-    fn push(&mut self, item: ReadyItem) {
-        let pos = self.items.partition_point(|it| !key_lt(item.key, it.key));
-        self.items.insert(pos, item);
-    }
-
-    fn pop_first_fit(&mut self, free: u32) -> Option<ReadyItem> {
-        let pos = self.items.iter().position(|it| it.alloc <= free)?;
-        Some(self.items.remove(pos))
-    }
-
-    fn len(&self) -> usize {
-        self.items.len()
-    }
 }
 
 const NIL: u32 = u32::MAX;
@@ -522,7 +476,7 @@ impl IndexedQueue {
     /// Drain *every* item a full list-scheduling decision point would
     /// start: repeatedly the first item in key order with
     /// `alloc ≤ free`, with `free` shrinking as items are taken.
-    /// Exactly equivalent to looping [`ReadyQueue::pop_first_fit`],
+    /// Exactly equivalent to looping [`Self::pop_first_fit`],
     /// because skipped items stay infeasible while `free` only
     /// decreases. The inline tier descends the block-min tree, reading
     /// only the blocks that hold a fit, unless the tree cannot skip a
@@ -568,10 +522,10 @@ impl IndexedQueue {
         self.small.truncate(w);
         self.stale_from = 0;
     }
-}
 
-impl ReadyQueue for IndexedQueue {
-    fn push(&mut self, item: ReadyItem) {
+    /// Insert a released task. Its key must be unique and its
+    /// allocation below `u32::MAX`, which [`ReadyItem::alloc`] reserves.
+    pub fn push(&mut self, item: ReadyItem) {
         assert!(item.alloc != TOMB, "allocation u32::MAX is reserved");
         if self.inline_mode() {
             if self.len < self.spill_at {
@@ -598,7 +552,9 @@ impl ReadyQueue for IndexedQueue {
         self.len += 1;
     }
 
-    fn pop_first_fit(&mut self, free: u32) -> Option<ReadyItem> {
+    /// Remove and return the first task in key order with
+    /// `alloc ≤ free`, if any.
+    pub fn pop_first_fit(&mut self, free: u32) -> Option<ReadyItem> {
         if self.inline_mode() {
             let mut found = None;
             self.take_by_blocks(&mut { free }, 1, |it| found = Some(it));
@@ -621,8 +577,16 @@ impl ReadyQueue for IndexedQueue {
         Some(item)
     }
 
-    fn len(&self) -> usize {
+    /// Number of waiting tasks.
+    #[must_use]
+    pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Whether the queue is empty.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
 
@@ -630,6 +594,37 @@ impl ReadyQueue for IndexedQueue {
 mod tests {
     use super::*;
     use moldable_model::rng::{Rng, StdRng};
+
+    /// The original queue: a `Vec` kept sorted by key, scanned
+    /// linearly — the executable specification of queue behaviour.
+    #[derive(Debug, Default)]
+    struct LinearQueue {
+        items: Vec<ReadyItem>,
+    }
+
+    impl LinearQueue {
+        fn new() -> Self {
+            Self::default()
+        }
+
+        fn push(&mut self, item: ReadyItem) {
+            let pos = self.items.partition_point(|it| !key_lt(item.key, it.key));
+            self.items.insert(pos, item);
+        }
+
+        fn pop_first_fit(&mut self, free: u32) -> Option<ReadyItem> {
+            let pos = self.items.iter().position(|it| it.alloc <= free)?;
+            Some(self.items.remove(pos))
+        }
+
+        fn len(&self) -> usize {
+            self.items.len()
+        }
+
+        fn is_empty(&self) -> bool {
+            self.items.is_empty()
+        }
+    }
 
     fn item(seq: u64, alloc: u32, primary: f64) -> ReadyItem {
         ReadyItem {
@@ -908,7 +903,7 @@ mod tests {
                     } else if inline {
                         descents += 1;
                     }
-                    if inline && a.small.len() < before && a.len() > 0 {
+                    if inline && a.small.len() < before && !a.is_empty() {
                         compactions += 1;
                     }
                     let mut free_b = budget;

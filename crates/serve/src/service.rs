@@ -8,6 +8,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use moldable_core::memo::MEMO_LIMIT;
 use moldable_core::{baselines, registry, AlgoName, AllocCache, OnlineScheduler, QueuePolicy};
 use moldable_graph::{gen, parse_trace, parse_workflow, TaskGraph, TraceFormat, TraceLimits};
 use moldable_model::ModelClass;
@@ -119,21 +120,18 @@ pub enum EngineChoice {
     Legacy,
 }
 
-/// Memo size (interned models plus one per memo) past which a worker
-/// drops all its allocation memos. Requests pick `(algo, P, μ)` and
-/// model seeds freely, so without a bound every model ever seen would
-/// stay resident. Steady mixed traffic keeps a working set of a few
-/// thousand models per worker, far below this.
-const MEMO_LIMIT: usize = 1 << 16;
-
 /// Per-worker state reused across requests: one [`AllocCache`] per
 /// distinct `(algo, P, μ)` triple seen by this worker, so repeated
 /// traffic against the same platform skips the local-allocation binary
 /// search for every model it has seen before. The algorithm is part of
 /// the key: the two registered algorithms make different decisions for
 /// the same model, so their memos must never be shared. The memos are
-/// dropped together once they grow past `MEMO_LIMIT`; allocation is a
-/// pure function of the model, so dropping them never changes a reply.
+/// dropped together once their size (interned models plus one per
+/// memo) grows past [`MEMO_LIMIT`]: requests pick `(algo, P, μ)` and
+/// model seeds freely, so without a bound every model ever seen would
+/// stay resident. Steady mixed traffic keeps a working set of a few
+/// thousand models per worker, far below it. Allocation is a pure
+/// function of the model, so dropping them never changes a reply.
 #[derive(Debug)]
 pub struct WorkerContext {
     caches: HashMap<(AlgoName, u32, u64), AllocCache>,

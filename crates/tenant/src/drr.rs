@@ -8,8 +8,10 @@
 //! * Each session owns a FIFO queue of ready tasks and a *deficit*
 //!   counter in processor units. Allocation per task is the owning
 //!   DAG's registered algorithm — `AlgoName::allocate(model, P, μ)`
-//!   capped at `⌈μP⌉`, via one shared [`AllocCache`] per registered
-//!   algorithm — the same per-task allocation the one-shot service
+//!   capped at `⌈μP⌉`, through one shared [`AllocCache`] per
+//!   registered algorithm under the same release-path policy as the
+//!   online scheduler ([`AllocCache::decide`]: run grouping, bypass,
+//!   bounded size) — the same per-task allocation the one-shot service
 //!   computes; only the start-order policy (DRR instead of
 //!   Algorithm 2's list order) differs. Sessions running different
 //!   algorithms coexist on one platform.
@@ -51,13 +53,6 @@ use moldable_sim::Scheduler;
 
 /// Burst cap: a queue can bank at most this many quanta of deficit.
 const BURST_QUANTA: f64 = 4.0;
-
-/// Models an [`AllocCache`] may intern before it is dropped and
-/// rebuilt empty — the same bound the serve workers put on their
-/// memos. A long-lived session world with no repeated models would
-/// otherwise keep one entry per task it was ever sent. Allocation is a
-/// pure function of the model, so a drop never changes a decision.
-const CACHE_LIMIT: usize = 1 << 16;
 
 /// Head column value of a slot whose queue is empty.
 const EMPTY: u32 = u32::MAX;
@@ -242,6 +237,12 @@ impl DrrScheduler {
         self.slot_visits
     }
 
+    /// The per-algorithm allocation caches.
+    #[cfg(test)]
+    pub(crate) fn caches(&self) -> &[AllocCache] {
+        &self.caches
+    }
+
     /// Start tasks from the front of `slot`'s queue while they fit
     /// `free` and, in the DRR pass (`within_deficit`), the slot's
     /// deficit. Returns whether anything started.
@@ -327,10 +328,7 @@ impl Scheduler for DrrScheduler {
         let algo = self.task_algo[task.index()];
         let cache = &mut self.caches[algo as usize];
         debug_assert_eq!(cache.algo(), algo);
-        let procs = cache.allocate(model).capped;
-        if cache.len() > CACHE_LIMIT {
-            *cache = AllocCache::for_algo(algo, self.p_total, cache.mu());
-        }
+        let procs = cache.decide(model).capped;
         let queue = &mut self.queues[slot];
         queue.push_back(Ready { task, procs });
         if queue.len() == 1 {
@@ -388,6 +386,7 @@ impl Scheduler for DrrScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moldable_core::memo::MEMO_LIMIT;
 
     /// Fully serial (`t(p) = w`): Algorithm 1 allocates exactly one
     /// processor.
@@ -723,23 +722,22 @@ mod tests {
     #[test]
     fn allocation_caches_stay_bounded_without_changing_decisions() {
         // Every release carries a model never seen before, as in the
-        // session benchmark; past the bound the cache is rebuilt empty.
+        // session benchmark. The memo policy's bypass stops interning
+        // long before its bound (which `moldable_core::memo`'s tests
+        // reach); either way no decision may change.
         const P: u32 = 64;
-        let n = CACHE_LIMIT + 4_000;
+        let n = MEMO_LIMIT + 4_000;
         let mut s = DrrScheduler::new(P, MU);
         s.init(P);
         s.register_tasks(0, n, AlgoName::Icpp22);
-        let mut peak = 0;
         for i in 0..n {
             let task = TaskId(u32::try_from(i).unwrap());
             let model = SpeedupModel::amdahl(1.0 + i as f64 * 1e-3, 0.5).unwrap();
             s.release(task, &model);
             let held: usize = s.caches.iter().map(AllocCache::len).sum();
-            peak = peak.max(held);
-            assert!(held <= CACHE_LIMIT, "{held} models held after {i} releases");
+            assert!(held <= MEMO_LIMIT, "{held} models held after {i} releases");
             let want = AlgoName::Icpp22.allocate(&model, P, MU).capped;
             assert_eq!(s.select(i as f64, P), vec![(task, want)]);
         }
-        assert_eq!(peak, CACHE_LIMIT, "the bound was reached");
     }
 }

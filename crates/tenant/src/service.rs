@@ -1179,4 +1179,20 @@ mod tests {
         // instants × 200 slots).
         assert_eq!(visits, 24_957_872);
     }
+
+    #[test]
+    fn drr_caches_stop_probing_once_models_never_repeat() {
+        // Every one of the 100 000 releases carries a distinct model,
+        // so the memo policy's bypass stops probing after
+        // `BYPASS_MIN_PROBES` misses. A cache that only rebuilt itself
+        // past its size bound probed on every release (34 463 probes
+        // and entries left after one rebuild at 65 537).
+        use moldable_core::memo::BYPASS_MIN_PROBES;
+        let s = serve_sessions_shape();
+        let caches = s.stepper.scheduler().caches();
+        let probes: u64 = caches.iter().map(|c| c.probes()).sum();
+        let held: usize = caches.iter().map(|c| c.len()).sum();
+        assert_eq!(probes, BYPASS_MIN_PROBES);
+        assert!(held as u64 <= BYPASS_MIN_PROBES, "{held} models held");
+    }
 }
