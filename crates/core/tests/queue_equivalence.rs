@@ -208,10 +208,11 @@ fn tiny_platform_and_serial_queue_schedules_are_pinned() {
 fn deep_queues_across_the_spill_threshold_are_pinned() {
     let mut pin = Pin::default();
     // 3000 independent tasks on a small platform hold far more than
-    // SPILL_THRESHOLD waiting tasks at once, so the indexed queue's
-    // inline buffer spills into the treap tier and (as the queue
-    // drains) unspills back — all of it observationally identical to
-    // the reference scan.
+    // SPILL_THRESHOLD waiting tasks at once. Under FIFO every key
+    // appends, so that queue stays inline at full depth; under the
+    // other four policies an earlier key arrives past the threshold,
+    // so the inline buffer spills into the treap tier and (as the
+    // queue drains) unspills back. None of it may move a schedule.
     const { assert!(moldable_core::SPILL_THRESHOLD < 3000) };
     let dist = ParamDistribution::default();
     let p_total = 24;
