@@ -21,8 +21,9 @@
 //! * `thm9_adaptive_l4` — the Theorem 9 adaptive chain adversary at
 //!   ℓ = 4 (P = 524 288, instance revealed task by task);
 //! * `wide_50k_indexed_queue` — 50 000 independent tasks on P = 64, a
-//!   deep-ready-queue stress run (tens of thousands of waiting tasks
-//!   in the indexed queue's treap tier);
+//!   deep-ready-queue stress run (tens of thousands of waiting tasks;
+//!   their FIFO keys only append, so the queue stays in its inline
+//!   tier);
 //! * `serve_direct_500`, `serve_service_{cached,uncached}_500` — the
 //!   same 500 scheduling requests (cholesky size 6, P = 64, 16 seeds)
 //!   executed as bare generate+simulate and through the service layer

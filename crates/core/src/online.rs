@@ -24,7 +24,7 @@ use crate::{Allocation, QueuePolicy};
 ///
 /// The queue is an [`IndexedQueue`] (a sorted buffer under a block-min
 /// tree, spilling into a treap tracking the minimum allocation per
-/// subtree): a FIFO release is an append and a decision point reads
+/// subtree when a deep queue takes an out-of-order key): a FIFO release is an append and a decision point reads
 /// only the blocks or subtrees that hold a fit, instead of O(n) for
 /// both with the original sorted `Vec`. FNV schedule pins in
 /// `tests/queue_equivalence.rs`, recorded while that sorted `Vec`
