@@ -218,7 +218,7 @@ impl Instance for AdaptiveChains {
             .collect()
     }
 
-    fn on_complete(&mut self, task: TaskId, time: f64) -> Vec<TaskId> {
+    fn on_complete_into(&mut self, task: TaskId, time: f64, out: &mut Vec<TaskId>) {
         let chain = self.owner[task.index()];
         let done = self.completed[chain as usize] + 1;
         self.completed[chain as usize] = done;
@@ -228,15 +228,13 @@ impl Instance for AdaptiveChains {
             *quota -= 1;
             self.realized[chain as usize] = done;
             self.alive -= 1;
-            Vec::new()
         } else {
             // Quota exhausted: the chain survives into L'_done.
             let mark = &mut self.t_marks[done as usize];
             if mark.is_none() {
                 *mark = Some(time);
             }
-            let next = self.fresh_task(chain);
-            vec![next]
+            out.push(self.fresh_task(chain));
         }
     }
 

@@ -71,9 +71,8 @@ impl Instance for LegacyInstance<'_> {
             .collect()
     }
 
-    fn on_complete(&mut self, task: TaskId, _time: f64) -> Vec<TaskId> {
+    fn on_complete_into(&mut self, task: TaskId, _time: f64, newly: &mut Vec<TaskId>) {
         self.n_completed += 1;
-        let mut newly = Vec::new();
         for &s in self.builder.succs(task) {
             let r = &mut self.remaining_preds[s.index()];
             *r -= 1;
@@ -81,7 +80,6 @@ impl Instance for LegacyInstance<'_> {
                 newly.push(s);
             }
         }
-        newly
     }
 
     fn is_done(&self) -> bool {

@@ -84,9 +84,7 @@ impl Scheduler for AdaptiveScheduler {
         self.queue.push_back((task, allocation.capped));
     }
 
-    fn select(&mut self, _now: f64, free: u32) -> Vec<(TaskId, u32)> {
-        let mut free = free;
-        let mut out = Vec::new();
+    fn select_into(&mut self, _now: f64, mut free: u32, out: &mut Vec<(TaskId, u32)>) {
         self.queue.retain(|&(t, p)| {
             if p <= free {
                 free -= p;
@@ -96,7 +94,6 @@ impl Scheduler for AdaptiveScheduler {
                 true
             }
         });
-        out
     }
 }
 

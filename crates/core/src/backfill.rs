@@ -96,11 +96,9 @@ impl Scheduler for EasyBackfillScheduler {
         });
     }
 
-    fn select(&mut self, now: f64, free: u32) -> Vec<(TaskId, u32)> {
+    fn select_into(&mut self, now: f64, mut free: u32, out: &mut Vec<(TaskId, u32)>) {
         // Drop finished entries from the running set.
         self.running.retain(|&(end, _)| end > now + 1e-15);
-        let mut free = free;
-        let mut out = Vec::new();
 
         // 1) Strict FIFO: start head tasks while they fit.
         while let Some(&head) = self.queue.front() {
@@ -147,7 +145,6 @@ impl Scheduler for EasyBackfillScheduler {
                 }
             }
         }
-        out
     }
 }
 

@@ -70,9 +70,7 @@ impl Scheduler for ListScheduler {
         self.queue.push_back((task, p));
     }
 
-    fn select(&mut self, _now: f64, free: u32) -> Vec<(TaskId, u32)> {
-        let mut free = free;
-        let mut out = Vec::new();
+    fn select_into(&mut self, _now: f64, mut free: u32, out: &mut Vec<(TaskId, u32)>) {
         self.queue.retain(|&(t, p)| {
             if p <= free {
                 free -= p;
@@ -82,7 +80,6 @@ impl Scheduler for ListScheduler {
                 true
             }
         });
-        out
     }
 }
 
@@ -155,9 +152,7 @@ impl Scheduler for EctScheduler {
         self.queue.push_back(task);
     }
 
-    fn select(&mut self, _now: f64, free: u32) -> Vec<(TaskId, u32)> {
-        let mut free = free;
-        let mut out = Vec::new();
+    fn select_into(&mut self, _now: f64, mut free: u32, out: &mut Vec<(TaskId, u32)>) {
         while free > 0 {
             let Some(&task) = self.queue.front() else {
                 break;
@@ -169,7 +164,6 @@ impl Scheduler for EctScheduler {
             out.push((task, p));
             free -= p;
         }
-        out
     }
 }
 
@@ -196,26 +190,23 @@ impl Scheduler for EqualShareScheduler {
         self.queue.push_back(task);
     }
 
-    fn select(&mut self, _now: f64, free: u32) -> Vec<(TaskId, u32)> {
+    fn select_into(&mut self, _now: f64, free: u32, out: &mut Vec<(TaskId, u32)>) {
         let k = u32::try_from(self.queue.len()).expect("queue fits u32");
         if k == 0 || free == 0 {
-            return Vec::new();
+            return;
         }
         if free < k {
             // Not enough processors for everyone: give 1 each to the
             // first `free` tasks; the rest wait for the next event.
-            return self.queue.drain(..free as usize).map(|t| (t, 1)).collect();
+            out.extend(self.queue.drain(..free as usize).map(|t| (t, 1)));
+            return;
         }
         let base = free / k;
         let extra = free % k;
-        self.queue
-            .drain(..)
-            .enumerate()
-            .map(|(i, t)| {
-                let p = base + u32::from((i as u32) < extra);
-                (t, p)
-            })
-            .collect()
+        out.extend(self.queue.drain(..).enumerate().map(|(i, t)| {
+            let p = base + u32::from((i as u32) < extra);
+            (t, p)
+        }));
     }
 }
 

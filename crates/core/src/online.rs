@@ -220,18 +220,11 @@ impl Scheduler for OnlineScheduler {
         });
     }
 
-    fn select(&mut self, now: f64, free: u32) -> Vec<(TaskId, u32)> {
-        let mut started = Vec::new();
-        self.select_into(now, free, &mut started);
-        started
-    }
-
-    fn select_into(&mut self, _now: f64, free: u32, out: &mut Vec<(TaskId, u32)>) {
+    fn select_into(&mut self, _now: f64, mut free: u32, out: &mut Vec<(TaskId, u32)>) {
         // List scheduling: start *every* waiting task that fits, in
         // queue order (Algorithm 1, lines 7–11). Free only shrinks, so
         // a skipped task stays infeasible for this decision point and
         // the queue drains the whole point in one call.
-        let mut free = free;
         self.scratch.clear();
         self.queue.pop_fits_into(&mut free, &mut self.scratch);
         out.extend(self.scratch.iter().map(|item| (item.task, item.alloc)));

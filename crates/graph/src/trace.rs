@@ -397,11 +397,13 @@ fn parse_dot_statement(
     // Node statement with optional attributes.
     let (name_part, attrs) = match stmt.find('[') {
         Some(i) => {
-            let close = stmt.rfind(']').ok_or(TraceError::Parse {
+            // The closing `]` must follow the opening one.
+            let attrs = &stmt[i + 1..];
+            let close = attrs.rfind(']').ok_or(TraceError::Parse {
                 line,
                 msg: "unterminated `[` attribute list".to_string(),
             })?;
-            (&stmt[..i], &stmt[i + 1..close])
+            (&stmt[..i], &attrs[..close])
         }
         None => (stmt, ""),
     };
@@ -510,7 +512,8 @@ pub fn parse_json_trace(text: &str, limits: &TraceLimits) -> Result<WorkflowTrac
                     }
                 }
             }
-            _ => cur.skip_value()?,
+            // Inside the root object.
+            _ => cur.skip_value(1)?,
         }
         cur.skip_ws();
         if cur.eat(b',') {
@@ -593,7 +596,8 @@ fn parse_json_task(
             }
             "parents" => parse_json_string_array(cur, &mut parents)?,
             "children" => parse_json_string_array(cur, &mut children)?,
-            _ => cur.skip_value()?,
+            // Inside the root object, `tasks` and this task.
+            _ => cur.skip_value(3)?,
         }
         cur.skip_ws();
         if cur.eat(b',') {
@@ -646,6 +650,10 @@ fn parse_json_string_array(
         return Ok(());
     }
 }
+
+/// Maximum nesting depth of a JSON trace (the serve codec's bound): a
+/// deeper unknown value is a parse error instead of a stack overflow.
+const MAX_DEPTH: usize = 64;
 
 /// A minimal JSON cursor — just enough for the workflow schema. The
 /// serve crate's full codec lives above this crate in the dependency
@@ -781,10 +789,16 @@ impl<'a> Cursor<'a> {
         s.parse().map_err(|_| self.err(format!("bad number `{s}`")))
     }
 
-    /// Skip any JSON value (used for unknown keys).
-    fn skip_value(&mut self) -> Result<(), TraceError> {
+    /// Skip any JSON value (used for unknown keys). `depth` counts the
+    /// containers open around it, so the recursion is bounded by
+    /// [`MAX_DEPTH`].
+    fn skip_value(&mut self, depth: usize) -> Result<(), TraceError> {
         self.skip_ws();
-        match self.peek().ok_or_else(|| self.err("unexpected end"))? {
+        let first = self.peek().ok_or_else(|| self.err("unexpected end"))?;
+        if matches!(first, b'{' | b'[') && depth >= MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        match first {
             b'"' => {
                 self.parse_string()?;
                 Ok(())
@@ -799,7 +813,7 @@ impl<'a> Cursor<'a> {
                     self.parse_string()?;
                     self.skip_ws();
                     self.expect(b':')?;
-                    self.skip_value()?;
+                    self.skip_value(depth + 1)?;
                     self.skip_ws();
                     if self.eat(b',') {
                         self.skip_ws();
@@ -815,7 +829,7 @@ impl<'a> Cursor<'a> {
                     return Ok(());
                 }
                 loop {
-                    self.skip_value()?;
+                    self.skip_value(depth + 1)?;
                     self.skip_ws();
                     if self.eat(b',') {
                         continue;
@@ -964,6 +978,7 @@ mod tests {
             ("digraph { subgraph x { } }", TraceFormat::Dot, "subgraph"),
             ("digraph { }", TraceFormat::Dot, "no tasks"),
             ("digraph { a [weight=1; }", TraceFormat::Dot, "unterminated"),
+            ("digraph { a ][ }", TraceFormat::Dot, "unterminated"),
             ("{\"tasks\": [{}]}", TraceFormat::Json, "needs an `id`"),
             (
                 "{\"tasks\": [{\"id\":\"a\"},{\"id\":\"a\"}]}",
@@ -989,6 +1004,36 @@ mod tests {
             let msg = err.to_string();
             assert!(msg.contains(needle), "`{text}`: `{msg}` missing `{needle}`");
         }
+    }
+
+    #[test]
+    fn deep_unknown_values_are_rejected_not_overflowed() {
+        let nest = |n: usize| {
+            format!(
+                "{{\n\"x\": {}{},\n\"tasks\": [{{\"id\": \"a\"}}]}}",
+                "[".repeat(n),
+                "]".repeat(n)
+            )
+        };
+        let limits = TraceLimits::default();
+        // The root object is level 1, so `x` may nest 63 more.
+        assert!(parse_json_trace(&nest(MAX_DEPTH - 1), &limits).is_ok());
+        for n in [MAX_DEPTH, 100_000] {
+            match parse_json_trace(&nest(n), &limits) {
+                Err(TraceError::Parse { line: 2, msg }) => {
+                    assert!(msg.contains("nesting"), "{msg}")
+                }
+                other => panic!("depth {n}: {other:?}"),
+            }
+        }
+        // The same bound holds for an unknown key inside a task (level 3).
+        let deep_in_task = format!(
+            "{{\"tasks\": [{{\"id\": \"a\", \"x\": {}{}}}]}}",
+            "[".repeat(100_000),
+            "]".repeat(100_000)
+        );
+        let err = parse_json_trace(&deep_in_task, &limits).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
     }
 
     #[test]

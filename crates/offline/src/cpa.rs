@@ -118,9 +118,7 @@ impl Scheduler for FixedAllocScheduler {
         self.queue.push_back(task);
     }
 
-    fn select(&mut self, _now: f64, free: u32) -> Vec<(TaskId, u32)> {
-        let mut free = free;
-        let mut out = Vec::new();
+    fn select_into(&mut self, _now: f64, mut free: u32, out: &mut Vec<(TaskId, u32)>) {
         self.queue.retain(|&t| {
             let p = self.allocs[t.index()];
             if p <= free {
@@ -131,7 +129,6 @@ impl Scheduler for FixedAllocScheduler {
                 true
             }
         });
-        out
     }
 }
 

@@ -144,9 +144,12 @@ impl moldable_sim::Scheduler for WidestFirst {
         self.queue.insert(pos, task);
     }
 
-    fn select(&mut self, _now: f64, free: u32) -> Vec<(moldable_graph::TaskId, u32)> {
-        let mut free = free;
-        let mut out = Vec::new();
+    fn select_into(
+        &mut self,
+        _now: f64,
+        mut free: u32,
+        out: &mut Vec<(moldable_graph::TaskId, u32)>,
+    ) {
         self.queue.retain(|&t| {
             let p = self.allocs[t.index()];
             if p <= free {
@@ -157,7 +160,6 @@ impl moldable_sim::Scheduler for WidestFirst {
                 true
             }
         });
-        out
     }
 }
 

@@ -220,7 +220,7 @@ impl Instance for FaultyInstance<'_> {
             .collect()
     }
 
-    fn on_complete(&mut self, attempt: TaskId, _time: f64) -> Vec<TaskId> {
+    fn on_complete_into(&mut self, attempt: TaskId, _time: f64, out: &mut Vec<TaskId>) {
         let task = self.origin[attempt.index()];
         debug_assert!(
             !self.succeeded[task.index()],
@@ -238,11 +238,11 @@ impl Instance for FaultyInstance<'_> {
             .failure_probability(self.graph.model(task).a_min());
         if !capped && self.rng.gen_bool(q) {
             // Silent error detected at completion: run it again.
-            return vec![self.attempt_for(task)];
+            out.push(self.attempt_for(task));
+            return;
         }
         self.succeeded[task.index()] = true;
         self.n_succeeded += 1;
-        let mut out = Vec::new();
         for &s in self.graph.succs(task) {
             let r = &mut self.remaining_preds[s.index()];
             *r -= 1;
@@ -250,7 +250,6 @@ impl Instance for FaultyInstance<'_> {
                 out.push(self.attempt_for(s));
             }
         }
-        out
     }
 
     fn is_done(&self) -> bool {

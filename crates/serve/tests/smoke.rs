@@ -131,6 +131,47 @@ fn malformed_payload_gets_error_and_connection_survives() {
 }
 
 #[test]
+fn deeply_nested_trace_json_gets_an_error_and_the_daemon_stays_up() {
+    let server = ephemeral(ServerConfig::default());
+    let addr = server.local_addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+
+    // An unknown key nested 100 000 deep: about 200 KB, under the
+    // default frame cap.
+    let depth = 100_000;
+    let trace = format!(
+        "{{\"x\": {}{}, \"tasks\": [{{\"id\": \"a\"}}]}}",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let mut deep = submit("cholesky", 5, 32, 7);
+    let Request::Submit(req) = &mut deep else {
+        unreachable!("submit builds a submit request")
+    };
+    req.graph = GraphSpec::TraceJson(trace);
+    let reply = client.call(&deep).unwrap();
+    assert_eq!(
+        reply.get("status").unwrap().as_str(),
+        Some("error"),
+        "{reply:?}"
+    );
+    let msg = reply.get("error").unwrap().as_str().unwrap();
+    assert!(msg.contains("nesting"), "{msg}");
+
+    // The same daemon answers an ordinary submit.
+    let reply = client.call(&submit("cholesky", 5, 32, 7)).unwrap();
+    assert_eq!(
+        reply.get("status").unwrap().as_str(),
+        Some("ok"),
+        "{reply:?}"
+    );
+
+    server.trigger_drain();
+    drop(client);
+    server.join();
+}
+
+#[test]
 fn oversized_frame_gets_error_and_connection_survives() {
     let server = ephemeral(ServerConfig {
         max_frame: 128,

@@ -66,9 +66,8 @@ impl Instance for TimedArrivals {
         Vec::new()
     }
 
-    fn on_complete(&mut self, _task: TaskId, _time: f64) -> Vec<TaskId> {
+    fn on_complete_into(&mut self, _task: TaskId, _time: f64, _out: &mut Vec<TaskId>) {
         self.completed += 1;
-        Vec::new()
     }
 
     fn is_done(&self) -> bool {
@@ -116,9 +115,9 @@ mod tests {
         fn release(&mut self, task: TaskId, _m: &SpeedupModel) {
             self.queue.push(task);
         }
-        fn select(&mut self, _now: f64, free: u32) -> Vec<(TaskId, u32)> {
+        fn select_into(&mut self, _now: f64, free: u32, out: &mut Vec<(TaskId, u32)>) {
             let take = (free as usize).min(self.queue.len());
-            self.queue.drain(..take).map(|t| (t, 1)).collect()
+            out.extend(self.queue.drain(..take).map(|t| (t, 1)));
         }
     }
 

@@ -17,7 +17,7 @@ use crate::{Schedule, Stepper};
 /// only point where the scheduler learns the task exists and sees its
 /// speedup model, matching the paper's online information model. At
 /// every decision point (time 0 and each completion) the engine calls
-/// [`Scheduler::select`] repeatedly until it returns an empty batch.
+/// [`Scheduler::select_into`] repeatedly until it appends nothing.
 pub trait Scheduler {
     /// Called once before the simulation starts.
     fn init(&mut self, p_total: u32) {
@@ -28,21 +28,14 @@ pub trait Scheduler {
     /// now known.
     fn release(&mut self, task: TaskId, model: &SpeedupModel);
 
-    /// Choose tasks to start *now*. `free` is the number of currently
-    /// idle processors; the total allocation of the returned batch must
-    /// not exceed it. Return an empty batch to wait for the next event.
-    fn select(&mut self, now: f64, free: u32) -> Vec<(TaskId, u32)>;
-
-    /// [`Scheduler::select`], but appending the batch to a caller-owned
-    /// buffer. The engine clears and reuses one buffer across all
-    /// decision points, so schedulers overriding this run
-    /// allocation-free at steady state; the default delegates to
-    /// [`Scheduler::select`] so existing schedulers keep working
-    /// unchanged. The buffer arrives empty; implementations must only
+    /// Choose tasks to start *now*, appending them to `out`. `free` is
+    /// the number of currently idle processors; the total allocation of
+    /// the appended batch must not exceed it. Append nothing to wait for
+    /// the next event. The engine clears and reuses one buffer across
+    /// all decision points, so a scheduler that keeps its own scratch
+    /// runs allocation-free at steady state; implementations must only
     /// append.
-    fn select_into(&mut self, now: f64, free: u32, out: &mut Vec<(TaskId, u32)>) {
-        out.extend(self.select(now, free));
-    }
+    fn select_into(&mut self, now: f64, free: u32, out: &mut Vec<(TaskId, u32)>);
 }
 
 /// A source of tasks for the engine. The static case is a
@@ -60,21 +53,12 @@ pub trait Instance {
     /// Tasks available at time 0, in release order.
     fn initial(&mut self) -> Vec<TaskId>;
 
-    /// `task` completed at simulated time `time`; return the tasks that
-    /// become available as a result, in release order. Adaptive
-    /// adversaries may use `time` to record their decision points.
-    fn on_complete(&mut self, task: TaskId, time: f64) -> Vec<TaskId>;
-
-    /// [`Instance::on_complete`], but appending the newly available
-    /// tasks to a caller-owned buffer. The engine clears and reuses one
-    /// scratch buffer across all completions, so instances overriding
-    /// this (like [`GraphInstance`]) make the completion path
-    /// allocation-free; the default delegates to
-    /// [`Instance::on_complete`]. The buffer arrives empty;
-    /// implementations must only append.
-    fn on_complete_into(&mut self, task: TaskId, time: f64, out: &mut Vec<TaskId>) {
-        out.extend(self.on_complete(task, time));
-    }
+    /// `task` completed at simulated time `time`; append the tasks that
+    /// become available as a result to `out`, in release order.
+    /// Adaptive adversaries may use `time` to record their decision
+    /// points. The engine clears and reuses one scratch buffer across
+    /// all completions; implementations must only append.
+    fn on_complete_into(&mut self, task: TaskId, time: f64, out: &mut Vec<TaskId>);
 
     /// Have all tasks of the instance completed?
     fn is_done(&self) -> bool;
@@ -108,8 +92,7 @@ pub trait Instance {
 }
 
 /// Forwards every method, so a borrowed scheduler (`&mut dyn
-/// Scheduler` in [`simulate`]) keeps its own `select_into` rather than
-/// the allocating default.
+/// Scheduler` in [`simulate`]) keeps its own `init`.
 impl<T: Scheduler + ?Sized> Scheduler for &mut T {
     fn init(&mut self, p_total: u32) {
         (**self).init(p_total);
@@ -119,24 +102,16 @@ impl<T: Scheduler + ?Sized> Scheduler for &mut T {
         (**self).release(task, model);
     }
 
-    fn select(&mut self, now: f64, free: u32) -> Vec<(TaskId, u32)> {
-        (**self).select(now, free)
-    }
-
     fn select_into(&mut self, now: f64, free: u32, out: &mut Vec<(TaskId, u32)>) {
         (**self).select_into(now, free, out);
     }
 }
 
-/// Forwards every method, so a borrowed instance keeps its own
-/// `on_complete_into`, size hint and timed arrivals.
+/// Forwards every method, so a borrowed instance keeps its own size
+/// hint and timed arrivals.
 impl<T: Instance + ?Sized> Instance for &mut T {
     fn initial(&mut self) -> Vec<TaskId> {
         (**self).initial()
-    }
-
-    fn on_complete(&mut self, task: TaskId, time: f64) -> Vec<TaskId> {
-        (**self).on_complete(task, time)
     }
 
     fn on_complete_into(&mut self, task: TaskId, time: f64, out: &mut Vec<TaskId>) {
@@ -184,10 +159,6 @@ impl<'a> GraphInstance<'a> {
 impl Instance for GraphInstance<'_> {
     fn initial(&mut self) -> Vec<TaskId> {
         self.frontier.initial(self.graph)
-    }
-
-    fn on_complete(&mut self, task: TaskId, _time: f64) -> Vec<TaskId> {
-        self.frontier.complete(self.graph, task)
     }
 
     fn on_complete_into(&mut self, task: TaskId, _time: f64, out: &mut Vec<TaskId>) {
@@ -352,9 +323,7 @@ mod tests {
         fn release(&mut self, task: TaskId, _m: &SpeedupModel) {
             self.queue.push_back(task);
         }
-        fn select(&mut self, _now: f64, free: u32) -> Vec<(TaskId, u32)> {
-            let mut out = Vec::new();
-            let mut free = free;
+        fn select_into(&mut self, _now: f64, mut free: u32, out: &mut Vec<(TaskId, u32)>) {
             while free >= self.alloc {
                 match self.queue.pop_front() {
                     Some(t) => {
@@ -364,7 +333,6 @@ mod tests {
                     None => break,
                 }
             }
-            out
         }
     }
 
@@ -420,8 +388,8 @@ mod tests {
         struct Bad;
         impl Scheduler for Bad {
             fn release(&mut self, _t: TaskId, _m: &SpeedupModel) {}
-            fn select(&mut self, _now: f64, _free: u32) -> Vec<(TaskId, u32)> {
-                vec![(TaskId(0), 99)]
+            fn select_into(&mut self, _now: f64, _free: u32, out: &mut Vec<(TaskId, u32)>) {
+                out.push((TaskId(0), 99));
             }
         }
         let mut g = GraphBuilder::new();
@@ -443,8 +411,8 @@ mod tests {
         struct Eager;
         impl Scheduler for Eager {
             fn release(&mut self, _t: TaskId, _m: &SpeedupModel) {}
-            fn select(&mut self, _now: f64, _free: u32) -> Vec<(TaskId, u32)> {
-                vec![(TaskId(1), 1)] // task 1 not yet revealed
+            fn select_into(&mut self, _now: f64, _free: u32, out: &mut Vec<(TaskId, u32)>) {
+                out.push((TaskId(1), 1)); // task 1 not yet revealed
             }
         }
         let mut g = GraphBuilder::new();
@@ -461,8 +429,8 @@ mod tests {
         struct Zero;
         impl Scheduler for Zero {
             fn release(&mut self, _t: TaskId, _m: &SpeedupModel) {}
-            fn select(&mut self, _now: f64, _free: u32) -> Vec<(TaskId, u32)> {
-                vec![(TaskId(0), 0)]
+            fn select_into(&mut self, _now: f64, _free: u32, out: &mut Vec<(TaskId, u32)>) {
+                out.push((TaskId(0), 0));
             }
         }
         let mut g = GraphBuilder::new();
@@ -477,9 +445,7 @@ mod tests {
         struct Lazy;
         impl Scheduler for Lazy {
             fn release(&mut self, _t: TaskId, _m: &SpeedupModel) {}
-            fn select(&mut self, _now: f64, _free: u32) -> Vec<(TaskId, u32)> {
-                Vec::new()
-            }
+            fn select_into(&mut self, _now: f64, _free: u32, _out: &mut Vec<(TaskId, u32)>) {}
         }
         let mut g = GraphBuilder::new();
         g.add_task(unit(1.0));

@@ -11,6 +11,9 @@
 //! predecessors have completed (the online information model), then
 //! asks the scheduler which available tasks to start whenever
 //! processors free up. The engine never leaks unrevealed structure.
+//! Each engine callback is one method that appends to a buffer the
+//! engine owns and reuses: [`Scheduler::select_into`] at a decision
+//! point and [`Instance::on_complete_into`] at a completion.
 //!
 //! For adaptive lower bounds (the paper's Section 5 adversary decides
 //! the graph *in response to* the algorithm's behaviour), the engine
@@ -39,9 +42,9 @@
 //!     fn release(&mut self, task: TaskId, _m: &SpeedupModel) {
 //!         self.queue.push(task);
 //!     }
-//!     fn select(&mut self, _now: f64, free: u32) -> Vec<(TaskId, u32)> {
+//!     fn select_into(&mut self, _now: f64, free: u32, out: &mut Vec<(TaskId, u32)>) {
 //!         let take = (free as usize).min(self.queue.len());
-//!         self.queue.drain(..take).map(|t| (t, 1)).collect()
+//!         out.extend(self.queue.drain(..take).map(|t| (t, 1)));
 //!     }
 //! }
 //!

@@ -512,9 +512,7 @@ mod tests {
         fn release(&mut self, task: TaskId, _m: &SpeedupModel) {
             self.queue.push_back(task);
         }
-        fn select(&mut self, _now: f64, free: u32) -> Vec<(TaskId, u32)> {
-            let mut out = Vec::new();
-            let mut free = free;
+        fn select_into(&mut self, _now: f64, mut free: u32, out: &mut Vec<(TaskId, u32)>) {
             while free >= self.alloc {
                 match self.queue.pop_front() {
                     Some(t) => {
@@ -524,7 +522,6 @@ mod tests {
                     None => break,
                 }
             }
-            out
         }
     }
 
@@ -669,9 +666,7 @@ mod tests {
             fn initial(&mut self) -> Vec<TaskId> {
                 Vec::new()
             }
-            fn on_complete(&mut self, _task: TaskId, _time: f64) -> Vec<TaskId> {
-                Vec::new()
-            }
+            fn on_complete_into(&mut self, _task: TaskId, _time: f64, _out: &mut Vec<TaskId>) {}
             fn is_done(&self) -> bool {
                 false
             }
@@ -728,9 +723,7 @@ mod tests {
         struct Lazy;
         impl Scheduler for Lazy {
             fn release(&mut self, _t: TaskId, _m: &SpeedupModel) {}
-            fn select(&mut self, _now: f64, _free: u32) -> Vec<(TaskId, u32)> {
-                Vec::new()
-            }
+            fn select_into(&mut self, _now: f64, _free: u32, _out: &mut Vec<(TaskId, u32)>) {}
         }
         let mut g = moldable_graph::GraphBuilder::new();
         g.add_task(unit(1.0));

@@ -30,9 +30,9 @@ impl Scheduler for Fifo {
     fn release(&mut self, task: TaskId, _m: &SpeedupModel) {
         self.queue.push_back(task);
     }
-    fn select(&mut self, _now: f64, free: u32) -> Vec<(TaskId, u32)> {
+    fn select_into(&mut self, _now: f64, free: u32, out: &mut Vec<(TaskId, u32)>) {
         let take = (free as usize).min(self.queue.len());
-        self.queue.drain(..take).map(|t| (t, 1)).collect()
+        out.extend(self.queue.drain(..take).map(|t| (t, 1)));
     }
 }
 

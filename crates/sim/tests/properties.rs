@@ -38,9 +38,8 @@ impl Scheduler for ChaoticScheduler {
     fn release(&mut self, task: TaskId, model: &SpeedupModel) {
         self.queue.push((task, model.p_max(self.p_total)));
     }
-    fn select(&mut self, _now: f64, free: u32) -> Vec<(TaskId, u32)> {
-        let mut free = free;
-        let mut out = Vec::new();
+    fn select_into(&mut self, _now: f64, mut free: u32, out: &mut Vec<(TaskId, u32)>) {
+        let first = out.len();
         let mut i = 0;
         while i < self.queue.len() {
             if free == 0 {
@@ -49,7 +48,7 @@ impl Scheduler for ChaoticScheduler {
             // Randomly skip half the queue; never skip everything when
             // nothing runs (the engine treats a refusal with an empty
             // platform as Stuck — make progress eventually).
-            let must_take = out.is_empty() && free == self.p_total;
+            let must_take = out.len() == first && free == self.p_total;
             if must_take || self.rng.gen_bool(0.5) {
                 let (t, p_max) = self.queue.swap_remove(i);
                 let p = self.rng.gen_range(1..=p_max.min(free).max(1)).min(free);
@@ -59,7 +58,6 @@ impl Scheduler for ChaoticScheduler {
                 i += 1;
             }
         }
-        out
     }
 }
 

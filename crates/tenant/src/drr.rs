@@ -24,9 +24,9 @@
 //!   are still free and *any* queued task fits, it starts — charged
 //!   against the session's deficit (which may go negative, deferring
 //!   it in later rounds). This pass makes the no-starvation invariant
-//!   unconditional: after `select`, no queued task fits the remaining
-//!   free processors, so a tenant can never hold ready work that fits
-//!   while another tenant's processors idle.
+//!   unconditional: after `select_into`, no queued task fits the
+//!   remaining free processors, so a tenant can never hold ready work
+//!   that fits while another tenant's processors idle.
 //!
 //! Determinism: slots are visited in slot-id order from a cursor that
 //! only moves on phase-1 service; no hashing, no wall clock. Equal
@@ -165,7 +165,7 @@ pub struct DrrScheduler {
     /// Slots with a non-empty queue.
     active: usize,
     cursor: usize,
-    /// Decision-instant gate: the engine calls `select` repeatedly
+    /// Decision-instant gate: the engine calls `select_into` repeatedly
     /// within one decision point; replenish deficits only on the
     /// first call at each distinct time.
     last_replenish: Option<u64>,
@@ -337,12 +337,6 @@ impl Scheduler for DrrScheduler {
         }
     }
 
-    fn select(&mut self, now: f64, free: u32) -> Vec<(TaskId, u32)> {
-        let mut out = Vec::new();
-        self.select_into(now, free, &mut out);
-        out
-    }
-
     fn select_into(&mut self, now: f64, mut free: u32, out: &mut Vec<(TaskId, u32)>) {
         let n = self.queues.len();
         if n == 0 || free == 0 {
@@ -396,6 +390,13 @@ mod tests {
 
     const MU: f64 = 0.38;
 
+    /// One `select_into` call's batch.
+    fn pick(s: &mut DrrScheduler, now: f64, free: u32) -> Vec<(TaskId, u32)> {
+        let mut out = Vec::new();
+        s.select_into(now, free, &mut out);
+        out
+    }
+
     #[test]
     fn single_slot_behaves_fifo() {
         let mut s = DrrScheduler::new(4, MU);
@@ -404,10 +405,10 @@ mod tests {
         for i in 0..3 {
             s.release(TaskId(i), &unit(1.0));
         }
-        let picks = s.select(0.0, 4);
+        let picks = pick(&mut s, 0.0, 4);
         let tasks: Vec<u32> = picks.iter().map(|(t, _)| t.0).collect();
         assert_eq!(tasks, vec![0, 1, 2], "FIFO within a slot");
-        assert!(s.select(0.0, 4).is_empty(), "drained");
+        assert!(pick(&mut s, 0.0, 4).is_empty(), "drained");
     }
 
     #[test]
@@ -425,7 +426,7 @@ mod tests {
         for i in 4..8 {
             s.release(TaskId(i), &unit(1.0));
         }
-        let picks = s.select(0.0, 4);
+        let picks = pick(&mut s, 0.0, 4);
         let mine = picks.iter().filter(|(t, _)| t.0 < 4).count();
         let theirs = picks.len() - mine;
         assert_eq!((mine, theirs), (2, 2), "equal split under contention");
@@ -441,11 +442,11 @@ mod tests {
         for i in 0..6 {
             s.release(TaskId(i), &unit(1.0));
         }
-        let first = s.select(0.0, 2);
+        let first = pick(&mut s, 0.0, 2);
         assert_eq!(first.len(), 2, "phase 2 fills past the quantum");
-        let second = s.select(1.0, 2);
+        let second = pick(&mut s, 1.0, 2);
         assert_eq!(second.len(), 2);
-        let third = s.select(2.0, 2);
+        let third = pick(&mut s, 2.0, 2);
         assert_eq!(third.len(), 2);
         assert_eq!(s.n_started(), 6);
     }
@@ -456,11 +457,11 @@ mod tests {
         s.init(2);
         s.register_tasks(0, 2, AlgoName::Icpp22);
         s.release(TaskId(0), &unit(1.0));
-        let _ = s.select(0.0, 1);
+        let _ = pick(&mut s, 0.0, 1);
         let d_after = s.deficits[0];
         // Re-entry at the same instant (the engine's decide loop)
         // must not grant more credit.
-        let _ = s.select(0.0, 0);
+        let _ = pick(&mut s, 0.0, 0);
         assert_eq!(s.deficits[0].to_bits(), d_after.to_bits());
     }
 
@@ -476,7 +477,7 @@ mod tests {
             s.release(TaskId(i), &unit(1.0));
         }
         s.release(TaskId(50), &unit(1.0));
-        let picks = s.select(0.0, 3);
+        let picks = pick(&mut s, 0.0, 3);
         assert!(
             picks.iter().any(|(t, _)| t.0 == 50),
             "the lone task of the quiet slot is in the first batch: {picks:?}"
@@ -497,7 +498,7 @@ mod tests {
         s.register_tasks(1, 1, AlgoName::Improved23);
         s.release(TaskId(0), &model);
         s.release(TaskId(1), &model);
-        let picks = s.select(0.0, 16);
+        let picks = pick(&mut s, 0.0, 16);
         let procs_of = |id: u32| picks.iter().find(|(t, _)| t.0 == id).unwrap().1;
         assert_eq!(
             procs_of(0),
@@ -522,9 +523,9 @@ mod tests {
         s.init(16);
         s.register_tasks(0, 1, AlgoName::Icpp22);
         s.release(TaskId(0), &SpeedupModel::amdahl(100.0, 0.0).unwrap());
-        let picks = s.select(0.0, 1);
+        let picks = pick(&mut s, 0.0, 1);
         assert!(picks.is_empty(), "does not fit one free proc");
-        let picks = s.select(1.0, 16);
+        let picks = pick(&mut s, 1.0, 16);
         assert_eq!(picks.len(), 1);
         assert!(picks[0].1 <= 7, "capped at ceil(mu * 16)");
     }
@@ -737,7 +738,7 @@ mod tests {
             let held: usize = s.caches.iter().map(AllocCache::len).sum();
             assert!(held <= MEMO_LIMIT, "{held} models held after {i} releases");
             let want = AlgoName::Icpp22.allocate(&model, P, MU).capped;
-            assert_eq!(s.select(i as f64, P), vec![(task, want)]);
+            assert_eq!(pick(&mut s, i as f64, P), vec![(task, want)]);
         }
     }
 }

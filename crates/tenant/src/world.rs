@@ -193,10 +193,6 @@ impl WorldInstance {
     pub fn dag_release_date(&self, dag: DagIdx) -> f64 {
         self.dags[dag.0 as usize].release_date
     }
-
-    fn globalize(slot: &DagSlot, locals: &[TaskId]) -> Vec<TaskId> {
-        locals.iter().map(|t| TaskId(slot.base + t.0)).collect()
-    }
 }
 
 impl Instance for WorldInstance {
@@ -206,14 +202,18 @@ impl Instance for WorldInstance {
         Vec::new()
     }
 
-    fn on_complete(&mut self, task: TaskId, _time: f64) -> Vec<TaskId> {
+    fn on_complete_into(&mut self, task: TaskId, _time: f64, out: &mut Vec<TaskId>) {
         let dag = self.task_dag[task.index()] as usize;
         let slot = &mut self.dags[dag];
         let local = TaskId(task.0 - slot.base);
-        let newly = slot.frontier.complete(&slot.graph, local);
+        let first = out.len();
+        slot.frontier.complete_into(&slot.graph, local, out);
+        // The frontier appends ids local to this DAG; globalize only those.
+        for t in &mut out[first..] {
+            t.0 += slot.base;
+        }
         slot.n_done += 1;
         self.completed += 1;
-        Self::globalize(slot, &newly)
     }
 
     fn is_done(&self) -> bool {
@@ -302,12 +302,38 @@ mod tests {
         let d0 = w.submit(chain(&[1.0, 2.0]), 0.0).unwrap();
         let _d1 = w.submit(chain(&[1.0, 1.0]), 0.0).unwrap();
         let _ = w.arrivals(0.0);
-        let newly = w.on_complete(TaskId(0), 1.0);
+        let mut newly = Vec::new();
+        w.on_complete_into(TaskId(0), 1.0, &mut newly);
         assert_eq!(newly, vec![TaskId(1)], "successor inside dag 0 only");
         assert!(!w.dag_done(d0));
-        let _ = w.on_complete(TaskId(1), 3.0);
+        w.on_complete_into(TaskId(1), 3.0, &mut newly);
         assert!(w.dag_done(d0));
         assert!(!w.is_done());
+    }
+
+    #[test]
+    fn on_complete_into_appends_global_ids_and_keeps_earlier_entries() {
+        let mut w = WorldInstance::new();
+        let _d0 = w.submit(chain(&[1.0, 1.0]), 0.0).unwrap();
+        // Dag 1 (base 2): a fork, source 0 → {1, 2}.
+        let mut g = GraphBuilder::new();
+        let s = g.add_task(unit(1.0));
+        for _ in 0..2 {
+            let t = g.add_task(unit(1.0));
+            g.add_edge(s, t).unwrap();
+        }
+        let _d1 = w.submit(Arc::new(g.freeze()), 0.0).unwrap();
+        assert_eq!(w.arrivals(0.0), vec![TaskId(0), TaskId(2)]);
+        let mut out = vec![TaskId(7), TaskId(0)];
+        w.on_complete_into(TaskId(2), 1.0, &mut out);
+        assert_eq!(
+            out,
+            vec![TaskId(7), TaskId(0), TaskId(3), TaskId(4)],
+            "earlier entries untouched; new ids carry dag 1's base"
+        );
+        w.on_complete_into(TaskId(0), 1.0, &mut out);
+        assert_eq!(out[4..], [TaskId(1)], "dag 0's successor appended last");
+        assert_eq!(out[..4], [TaskId(7), TaskId(0), TaskId(3), TaskId(4)]);
     }
 
     #[test]
