@@ -179,13 +179,8 @@ fn platform(opts: &Opts, hint: Option<u32>) -> Result<u32, CliError> {
 }
 
 fn model_class(opts: &Opts) -> Result<ModelClass, CliError> {
-    Ok(match opts.get("model").unwrap_or("amdahl") {
-        "roofline" => ModelClass::Roofline,
-        "communication" | "comm" => ModelClass::Communication,
-        "amdahl" => ModelClass::Amdahl,
-        "general" => ModelClass::General,
-        other => return Err(err(format!("unknown model class `{other}`"))),
-    })
+    let name = opts.get("model").unwrap_or("amdahl");
+    ModelClass::by_name(name).ok_or_else(|| err(format!("unknown model class `{name}`")))
 }
 
 fn cmd_generate(opts: &Opts) -> Result<String, CliError> {
@@ -266,10 +261,7 @@ fn cmd_bounds(opts: &Opts) -> Result<String, CliError> {
 }
 
 fn make_policy(name: &str) -> Result<QueuePolicy, CliError> {
-    QueuePolicy::all()
-        .into_iter()
-        .find(|p| p.name() == name)
-        .ok_or_else(|| err(format!("unknown policy `{name}` (see --help)")))
+    QueuePolicy::by_name(name).ok_or_else(|| err(format!("unknown policy `{name}` (see --help)")))
 }
 
 fn cmd_schedule(opts: &Opts) -> Result<String, CliError> {

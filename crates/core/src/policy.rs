@@ -67,6 +67,12 @@ impl QueuePolicy {
         ]
     }
 
+    /// The policy whose [`name`](Self::name) is `name`, if any.
+    #[must_use]
+    pub fn by_name(name: &str) -> Option<QueuePolicy> {
+        Self::all().into_iter().find(|p| p.name() == name)
+    }
+
     /// Short name for reports.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -83,6 +89,14 @@ impl QueuePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn by_name_inverts_name() {
+        for p in QueuePolicy::all() {
+            assert_eq!(QueuePolicy::by_name(p.name()), Some(p));
+        }
+        assert_eq!(QueuePolicy::by_name("lifo"), None);
+    }
 
     #[test]
     fn fifo_orders_by_sequence() {

@@ -41,6 +41,7 @@ mod stats;
 mod task_graph;
 
 pub mod gen;
+pub mod json;
 pub mod trace;
 
 pub use bounds::GraphBounds;

@@ -15,7 +15,9 @@
 //!   [{"id": "t0", "weight": 3.5, "parents": ["t1"], "children":
 //!   [...]}]}` — `parents` and `children` both contribute edges,
 //!   unknown keys are skipped, and `runtime` is accepted as a weight
-//!   alias.
+//!   alias. It is read with [`crate::json`], the wire protocol's
+//!   grammar and depth bound: a document [`json::parse`] rejects is a
+//!   [`TraceError::Parse`] on the line of the byte it names.
 //!
 //! Imported traces are *untrusted input* and pass the same guard
 //! rails as the synthetic shapes in [`crate::gen::by_name`]: the task
@@ -41,6 +43,7 @@ use moldable_model::sample::ParamDistribution;
 use moldable_model::ModelClass;
 
 use crate::gen::{self, TaskCtx};
+use crate::json::{self, JsonError};
 use crate::{GraphBuilder, GraphError, TaskGraph, TaskId};
 
 /// Guard rails applied while parsing a trace.
@@ -276,7 +279,7 @@ struct TaskTable {
 }
 
 impl TaskTable {
-    fn intern(&mut self, name: &str, line: usize, limits: &TraceLimits) -> Result<u32, TraceError> {
+    fn intern(&mut self, name: &str, limits: &TraceLimits) -> Result<u32, TraceError> {
         if let Some(&i) = self.by_name.get(name) {
             return Ok(i);
         }
@@ -287,7 +290,6 @@ impl TaskTable {
                 limit: limits.effective_max_tasks(),
             });
         }
-        let _ = line;
         let i = u32::try_from(self.names.len()).expect("bounded by u32 id space");
         self.by_name.insert(name.to_string(), i);
         self.names.push(name.to_string());
@@ -382,7 +384,7 @@ fn parse_dot_statement(
                 None => part,
             };
             let id = parse_dot_name(part.trim(), line)?;
-            let node = table.intern(&id, line, limits)?;
+            let node = table.intern(&id, limits)?;
             if let Some(p) = prev {
                 edges.push(TraceEdge {
                     from: p,
@@ -408,7 +410,7 @@ fn parse_dot_statement(
         None => (stmt, ""),
     };
     let id = parse_dot_name(name_part.trim(), line)?;
-    let node = table.intern(&id, line, limits)?;
+    let node = table.intern(&id, limits)?;
     for attr in attrs.split(',') {
         let attr = attr.trim();
         if let Some(v) = attr.strip_prefix("weight") {
@@ -463,92 +465,68 @@ fn parse_dot_name(part: &str, line: usize) -> Result<String, TraceError> {
 
 // --------------------------------------------------------------- JSON
 
-/// Parse the JSON workflow schema.
+/// A `parents` or `children` entry: (parent name, child name, line).
+type NamedEdge = (String, String, usize);
+
+/// Parse the JSON workflow schema with [`json::Reader`], the wire
+/// protocol's grammar and depth bound.
 ///
 /// # Errors
 ///
-/// The first [`TraceError`] encountered.
+/// The first [`TraceError`] encountered. A malformed document is a
+/// [`TraceError::Parse`] on the line where [`json::parse`] rejects it,
+/// even when a schema error comes earlier in the text.
 pub fn parse_json_trace(text: &str, limits: &TraceLimits) -> Result<WorkflowTrace, TraceError> {
-    let mut cur = Cursor::new(text);
+    let mut doc = JsonDoc {
+        r: json::Reader::new(text),
+        text: text.as_bytes(),
+        counted: 0,
+        line: 1,
+    };
     let mut table = TaskTable::default();
-    // Edges by *name*, resolved after the whole document is read so
-    // forward references work; direction is already parent → child.
-    let mut by_name_edges: Vec<(String, u32, usize)> = Vec::new(); // (parent, child, line)
-    let mut child_edges: Vec<(u32, String, usize)> = Vec::new(); // (parent, child-name, line)
+    // Edges from `parents` keys, then from `children` keys, resolved
+    // after the whole document is read so forward references work.
+    let mut named: [Vec<NamedEdge>; 2] = Default::default();
     let mut wf_name = None;
 
-    cur.skip_ws();
-    cur.expect(b'{')?;
-    loop {
-        cur.skip_ws();
-        if cur.eat(b'}') {
-            break;
-        }
-        let key = cur.parse_string()?;
-        cur.skip_ws();
-        cur.expect(b':')?;
-        cur.skip_ws();
-        match key.as_str() {
-            "name" => wf_name = Some(cur.parse_string()?),
-            "tasks" => {
-                cur.expect(b'[')?;
-                cur.skip_ws();
-                if !cur.eat(b']') {
-                    loop {
-                        parse_json_task(
-                            &mut cur,
-                            limits,
-                            &mut table,
-                            &mut by_name_edges,
-                            &mut child_edges,
-                        )?;
-                        cur.skip_ws();
-                        if cur.eat(b',') {
-                            cur.skip_ws();
-                            continue;
-                        }
-                        cur.expect(b']')?;
-                        break;
-                    }
-                }
-            }
-            // Inside the root object.
-            _ => cur.skip_value(1)?,
-        }
-        cur.skip_ws();
-        if cur.eat(b',') {
-            continue;
-        }
-        cur.expect(b'}')?;
-        break;
+    doc.r.skip_ws();
+    let read = doc
+        .object(|doc, key| match key {
+            "name" => doc.read(json::Reader::string).map(|n| wf_name = Some(n)),
+            "tasks" => doc.seq(b'[', b']', |doc| {
+                parse_json_task(doc, limits, &mut table, &mut named)
+            }),
+            // An unknown key's value, inside the root object.
+            _ => doc.read(|r| r.value(1).map(drop)),
+        })
+        .and_then(|()| doc.read(json::Reader::finish));
+    if let Err(e) = read {
+        // The read stops at the first error, schema or syntax; a
+        // syntax error further on still wins.
+        return Err(match json::parse(text) {
+            Err(syntax) => doc.error(syntax),
+            Ok(_) => e,
+        });
     }
 
     if table.names.is_empty() {
         return Err(TraceError::Empty);
     }
-    let mut edges = Vec::with_capacity(by_name_edges.len() + child_edges.len());
-    for (parent, child, line) in by_name_edges {
-        let from = *table.by_name.get(&parent).ok_or(TraceError::UnknownTask {
-            line,
-            id: parent.clone(),
-        })?;
-        edges.push(TraceEdge {
-            from,
-            to: child,
-            line,
-        });
-    }
-    for (parent, child, line) in child_edges {
-        let to = *table.by_name.get(&child).ok_or(TraceError::UnknownTask {
-            line,
-            id: child.clone(),
-        })?;
-        edges.push(TraceEdge {
-            from: parent,
-            to,
-            line,
-        });
-    }
+    let node = |id: String, line| {
+        let known = table.by_name.get(&id).copied();
+        known.ok_or(TraceError::UnknownTask { line, id })
+    };
+    let edges = named
+        .into_iter()
+        .flatten()
+        .map(|(parent, child, line)| {
+            Ok(TraceEdge {
+                from: node(parent, line)?,
+                to: node(child, line)?,
+                line,
+            })
+        })
+        .collect::<Result<_, TraceError>>()?;
     Ok(WorkflowTrace {
         name: wf_name,
         task_names: table.names,
@@ -558,54 +536,35 @@ pub fn parse_json_trace(text: &str, limits: &TraceLimits) -> Result<WorkflowTrac
 }
 
 fn parse_json_task(
-    cur: &mut Cursor<'_>,
+    doc: &mut JsonDoc<'_>,
     limits: &TraceLimits,
     table: &mut TaskTable,
-    by_name_edges: &mut Vec<(String, u32, usize)>,
-    child_edges: &mut Vec<(u32, String, usize)>,
+    named: &mut [Vec<NamedEdge>; 2],
 ) -> Result<(), TraceError> {
-    cur.skip_ws();
-    let open_line = cur.line;
-    cur.expect(b'{')?;
+    let open_line = doc.line();
     let mut id: Option<(String, usize)> = None;
     let mut weight: Option<(f64, usize)> = None;
     let mut parents: Vec<(String, usize)> = Vec::new();
     let mut children: Vec<(String, usize)> = Vec::new();
-    loop {
-        cur.skip_ws();
-        if cur.eat(b'}') {
-            break;
-        }
-        let key = cur.parse_string()?;
-        cur.skip_ws();
-        cur.expect(b':')?;
-        cur.skip_ws();
-        let line = cur.line;
-        match key.as_str() {
+    doc.object(|doc, key| {
+        let line = doc.line();
+        match key {
             "id" | "name" => {
-                let v = cur.parse_string()?;
-                if id.is_none() {
-                    id = Some((v, line));
-                }
+                let v = doc.read(json::Reader::string)?;
+                id.get_or_insert((v, line));
             }
             "weight" | "runtime" => {
-                let v = cur.parse_number()?;
-                if weight.is_none() {
-                    weight = Some((v, line));
-                }
+                let v = doc.read(json::Reader::number)?;
+                weight.get_or_insert((v, line));
             }
-            "parents" => parse_json_string_array(cur, &mut parents)?,
-            "children" => parse_json_string_array(cur, &mut children)?,
-            // Inside the root object, `tasks` and this task.
-            _ => cur.skip_value(3)?,
+            "parents" => doc.strings(&mut parents)?,
+            "children" => doc.strings(&mut children)?,
+            // An unknown key's value, inside the root object, `tasks`
+            // and this task.
+            _ => doc.read(|r| r.value(3).map(drop))?,
         }
-        cur.skip_ws();
-        if cur.eat(b',') {
-            continue;
-        }
-        cur.expect(b'}')?;
-        break;
-    }
+        Ok(())
+    })?;
     let (id, id_line) = id.ok_or(TraceError::Parse {
         line: open_line,
         msg: "task object needs an `id` (or `name`) string".to_string(),
@@ -613,247 +572,112 @@ fn parse_json_task(
     if table.by_name.contains_key(&id) {
         return Err(TraceError::DuplicateTask { line: id_line, id });
     }
-    let node = table.intern(&id, id_line, limits)?;
+    let node = table.intern(&id, limits)?;
     if let Some((w, wline)) = weight {
         if !(w.is_finite() && w > 0.0) {
             return Err(TraceError::BadWeight { line: wline, id });
         }
         table.weights[node as usize] = w;
     }
-    for (p, line) in parents {
-        by_name_edges.push((p, node, line));
-    }
-    for (c, line) in children {
-        child_edges.push((node, c, line));
-    }
+    named[0].extend(parents.into_iter().map(|(p, line)| (p, id.clone(), line)));
+    named[1].extend(children.into_iter().map(|(c, line)| (id.clone(), c, line)));
     Ok(())
 }
 
-fn parse_json_string_array(
-    cur: &mut Cursor<'_>,
-    out: &mut Vec<(String, usize)>,
-) -> Result<(), TraceError> {
-    cur.expect(b'[')?;
-    cur.skip_ws();
-    if cur.eat(b']') {
-        return Ok(());
-    }
-    loop {
-        cur.skip_ws();
-        let line = cur.line;
-        out.push((cur.parse_string()?, line));
-        cur.skip_ws();
-        if cur.eat(b',') {
-            continue;
-        }
-        cur.expect(b']')?;
-        return Ok(());
-    }
-}
-
-/// Maximum nesting depth of a JSON trace (the serve codec's bound): a
-/// deeper unknown value is a parse error instead of a stack overflow.
-const MAX_DEPTH: usize = 64;
-
-/// A minimal JSON cursor — just enough for the workflow schema. The
-/// serve crate's full codec lives above this crate in the dependency
-/// graph, so the importer carries its own ~100-line reader rather
-/// than inverting the layering.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// A [`json::Reader`] plus the line numbers trace errors name. The
+/// codec counts bytes only, so the wire path never pays for lines;
+/// here a forward-only counter maps reader offsets to lines.
+struct JsonDoc<'a> {
+    r: json::Reader<'a>,
+    text: &'a [u8],
+    /// Newlines are counted up to this offset, which is on `line`.
+    counted: usize,
     line: usize,
 }
 
-impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-            line: 1,
+impl<'a> JsonDoc<'a> {
+    /// The 1-based line of byte `at`. Offsets come from the reader,
+    /// which only moves forward; an earlier one keeps the last line.
+    fn line_at(&mut self, at: usize) -> usize {
+        if let Some(skipped) = self.text.get(self.counted..at) {
+            self.line += skipped.iter().filter(|&&b| b == b'\n').count();
+            self.counted = at;
         }
+        self.line
     }
 
-    fn err(&self, msg: impl Into<String>) -> TraceError {
+    /// The line of the next unread byte.
+    fn line(&mut self) -> usize {
+        self.line_at(self.r.pos())
+    }
+
+    fn error(&mut self, e: JsonError) -> TraceError {
         TraceError::Parse {
-            line: self.line,
-            msg: msg.into(),
+            line: self.line_at(e.at),
+            msg: e.msg,
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    /// One reader step, its error mapped to its line.
+    fn read<T>(
+        &mut self,
+        step: impl FnOnce(&mut json::Reader<'a>) -> Result<T, JsonError>,
+    ) -> Result<T, TraceError> {
+        step(&mut self.r).map_err(|e| self.error(e))
     }
 
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-        }
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.bump();
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.peek() == Some(b) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), TraceError> {
-        if self.eat(b) {
+    /// Read an array of strings, each with its line.
+    fn strings(&mut self, out: &mut Vec<(String, usize)>) -> Result<(), TraceError> {
+        self.seq(b'[', b']', |doc| {
+            let line = doc.line();
+            out.push((doc.read(json::Reader::string)?, line));
             Ok(())
-        } else {
-            Err(self.err(format!(
-                "expected `{}`, found `{}`",
-                b as char,
-                self.peek()
-                    .map_or("end of input".to_string(), |c| { (c as char).to_string() })
-            )))
-        }
+        })
     }
 
-    fn parse_string(&mut self) -> Result<String, TraceError> {
-        self.skip_ws();
-        self.expect(b'"')?;
-        let mut out = String::new();
+    /// Read a `[`…`]` or `{`…`}` sequence, calling `item` at the first
+    /// byte of each element.
+    fn seq(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), TraceError>,
+    ) -> Result<(), TraceError> {
+        self.read(|r| r.expect(open))?;
+        self.r.skip_ws();
+        if self.r.eat(close) {
+            return Ok(());
+        }
         loop {
-            match self.bump().ok_or_else(|| self.err("unterminated string"))? {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self.bump().ok_or_else(|| self.err("bad escape"))?;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let h = self.bump().ok_or_else(|| self.err("bad \\u"))?;
-                                code = code * 16
-                                    + (h as char)
-                                        .to_digit(16)
-                                        .ok_or_else(|| self.err("bad \\u escape"))?;
-                            }
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(self.err(format!("bad escape `\\{}`", other as char))),
-                    }
-                }
-                byte if byte < 0x80 => out.push(byte as char),
-                byte => {
-                    // Reassemble a UTF-8 multibyte sequence verbatim
-                    // (the input is a &str, so it is always valid).
-                    let len = if byte >= 0xF0 {
-                        4
-                    } else if byte >= 0xE0 {
-                        3
-                    } else {
-                        2
-                    };
-                    let start = self.pos - 1;
-                    for _ in 1..len {
-                        self.bump();
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid utf-8 in string"))?,
-                    );
-                }
+            self.r.skip_ws();
+            item(self)?;
+            self.r.skip_ws();
+            if !self.r.eat(b',') {
+                return self.read(|r| r.expect(close));
             }
         }
     }
 
-    fn parse_number(&mut self) -> Result<f64, TraceError> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.bump();
-        }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        s.parse().map_err(|_| self.err(format!("bad number `{s}`")))
-    }
-
-    /// Skip any JSON value (used for unknown keys). `depth` counts the
-    /// containers open around it, so the recursion is bounded by
-    /// [`MAX_DEPTH`].
-    fn skip_value(&mut self, depth: usize) -> Result<(), TraceError> {
-        self.skip_ws();
-        let first = self.peek().ok_or_else(|| self.err("unexpected end"))?;
-        if matches!(first, b'{' | b'[') && depth >= MAX_DEPTH {
-            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
-        }
-        match first {
-            b'"' => {
-                self.parse_string()?;
-                Ok(())
-            }
-            b'{' => {
-                self.bump();
-                self.skip_ws();
-                if self.eat(b'}') {
-                    return Ok(());
-                }
-                loop {
-                    self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    self.skip_value(depth + 1)?;
-                    self.skip_ws();
-                    if self.eat(b',') {
-                        self.skip_ws();
-                        continue;
-                    }
-                    return self.expect(b'}');
-                }
-            }
-            b'[' => {
-                self.bump();
-                self.skip_ws();
-                if self.eat(b']') {
-                    return Ok(());
-                }
-                loop {
-                    self.skip_value(depth + 1)?;
-                    self.skip_ws();
-                    if self.eat(b',') {
-                        continue;
-                    }
-                    return self.expect(b']');
-                }
-            }
-            b't' | b'f' | b'n' => {
-                while matches!(self.peek(), Some(b'a'..=b'z')) {
-                    self.bump();
-                }
-                Ok(())
-            }
-            _ => {
-                self.parse_number()?;
-                Ok(())
-            }
-        }
+    /// Read an object, handing each key to `member` with the reader at
+    /// the start of its value.
+    fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), TraceError>,
+    ) -> Result<(), TraceError> {
+        self.seq(b'{', b'}', |doc| {
+            let key = doc.read(json::Reader::string)?;
+            doc.r.skip_ws();
+            doc.read(|r| r.expect(b':'))?;
+            doc.r.skip_ws();
+            member(doc, &key)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::MAX_DEPTH;
 
     const DOT: &str = r#"
         // a tiny diamond with weights
@@ -1003,6 +827,37 @@ mod tests {
                 .unwrap_err();
             let msg = err.to_string();
             assert!(msg.contains(needle), "`{text}`: `{msg}` missing `{needle}`");
+        }
+    }
+
+    /// Trace import reads with the wire grammar: on each edge input,
+    /// placed where the importer reads that kind of value, it gives the
+    /// codec's verdict.
+    #[test]
+    fn trace_import_and_the_codec_agree_on_edge_inputs() {
+        let unknown = |v: &str| format!("{{\"x\": {v}, \"tasks\": [{{\"id\": \"a\"}}]}}");
+        let id = |v: &str| format!("{{\"tasks\": [{{\"id\": {v}}}]}}");
+        let weight = |v: &str| format!("{{\"tasks\": [{{\"id\": \"a\", \"weight\": {v}}}]}}");
+        let nested = |n: usize| unknown(&("[".repeat(n) + &"]".repeat(n)));
+        let cases = [
+            ("trailing garbage", id("\"a\"") + " x", false),
+            ("nul", unknown("nul"), false),
+            ("trueee", unknown("trueee"), false),
+            ("raw U+0001", id("\"a\u{1}b\""), false),
+            ("lone high surrogate", id(r#""\ud800""#), false),
+            ("backspace escape", id(r#""a\b""#), true),
+            ("leading plus", weight("+1"), false),
+            ("leading dot", weight(".5"), false),
+            ("overflow", weight("1e999"), false),
+            ("two dots", weight("1.2.3"), false),
+            ("63 arrays under the root", nested(63), true),
+            ("64 arrays under the root", nested(64), false),
+        ];
+        let limits = TraceLimits::default();
+        for (what, text, ok) in cases {
+            assert_eq!(json::parse(&text).is_ok(), ok, "codec, {what}: {text}");
+            let trace = parse_json_trace(&text, &limits);
+            assert_eq!(trace.is_ok(), ok, "trace, {what}: {text} -> {trace:?}");
         }
     }
 

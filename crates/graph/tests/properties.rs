@@ -5,7 +5,7 @@
 
 #![cfg(feature = "slow-tests")]
 
-use moldable_graph::{gen, Frontier, TaskGraph};
+use moldable_graph::{gen, Frontier, GraphBuilder, TaskGraph};
 use moldable_model::rng::{Rng, StdRng};
 use moldable_model::SpeedupModel;
 

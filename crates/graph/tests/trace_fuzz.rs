@@ -8,7 +8,8 @@
 //! graph or fail with an error. Seeds are fixed, so a failure replays
 //! exactly.
 
-use moldable_graph::trace::{parse_trace, TraceFormat, TraceLimits};
+use moldable_graph::json;
+use moldable_graph::trace::{parse_json_trace, parse_trace, TraceError, TraceFormat, TraceLimits};
 use moldable_model::rng::{Rng, StdRng};
 use moldable_model::ModelClass;
 
@@ -105,4 +106,35 @@ fn mutated_corpus_traces_error_and_never_panic() {
         parsed > 0 && rejected > 0,
         "parsed {parsed}, rejected {rejected}"
     );
+}
+
+/// Trace import shares the wire grammar: whenever the codec rejects a
+/// mutated JSON trace, the importer does too, with a `Parse` error on
+/// the line of the codec's offending byte — even when the mutation
+/// also broke the schema earlier in the text.
+#[test]
+fn rejected_json_fails_on_the_codecs_line() {
+    let limits = TraceLimits::default();
+    let mut rng = StdRng::seed_from_u64(0x7ACE_F023);
+    let mut rejected = 0u32;
+    for file in CORPUS.iter().filter(|f| f.ends_with(".json")) {
+        let original = corpus(file);
+        for _ in 0..600 {
+            let bytes = mutate(&mut rng, &original);
+            let text = String::from_utf8_lossy(&bytes);
+            let Err(e) = json::parse(&text) else {
+                continue;
+            };
+            rejected += 1;
+            let line = 1 + text.as_bytes()[..e.at]
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count();
+            match parse_json_trace(&text, &limits) {
+                Err(TraceError::Parse { line: got, .. }) if got == line => {}
+                other => panic!("{file}: codec says line {line} ({e}), importer {other:?}\n{text}"),
+            }
+        }
+    }
+    assert!(rejected > 100, "only {rejected} mutations broke the syntax");
 }

@@ -94,6 +94,19 @@ impl ModelClass {
         }
     }
 
+    /// The bounded class called `name` (its [`name`](Self::name), or
+    /// `comm` for communication); `None` for anything else, including
+    /// `arbitrary`. The CLI and the daemon both read model names here.
+    #[must_use]
+    pub fn by_name(name: &str) -> Option<ModelClass> {
+        if name == "comm" {
+            return Some(Self::Communication);
+        }
+        Self::bounded_classes()
+            .into_iter()
+            .find(|c| c.name() == name)
+    }
+
     /// All four classes with proven constant ratios, in Table 1 order.
     #[must_use]
     pub fn bounded_classes() -> [ModelClass; 4] {
@@ -138,6 +151,16 @@ mod tests {
             let mu = class.optimal_mu();
             assert!(mu > 0.0 && mu <= crate::MU_MAX + 1e-12, "{class}: mu={mu}");
         }
+    }
+
+    #[test]
+    fn by_name_reads_every_bounded_class_and_the_comm_alias() {
+        for class in ModelClass::bounded_classes() {
+            assert_eq!(ModelClass::by_name(class.name()), Some(class));
+        }
+        assert_eq!(ModelClass::by_name("comm"), Some(ModelClass::Communication));
+        assert_eq!(ModelClass::by_name("arbitrary"), None);
+        assert_eq!(ModelClass::by_name("Amdahl"), None);
     }
 
     #[test]

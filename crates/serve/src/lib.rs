@@ -7,7 +7,8 @@
 //! TCP daemon:
 //!
 //! * [`proto`] — the length-prefixed JSON wire protocol;
-//! * [`json`] — hand-rolled JSON encode/parse (no external deps);
+//! * [`json`] — hand-rolled JSON encode/parse (no external deps):
+//!   [`moldable_graph::json`], shared with trace import;
 //! * [`service`] — the request→schedule executor with per-worker
 //!   [`AllocCache`](moldable_core::AllocCache) reuse;
 //! * [`server`] — the daemon: a non-blocking `epoll(7)` event loop
@@ -64,13 +65,14 @@
 
 #[cfg(target_os = "linux")]
 pub mod epoll;
-pub mod json;
 pub mod loadgen;
 pub mod proto;
 pub mod server;
 pub mod service;
 pub mod sessions;
 pub mod stats;
+
+pub use moldable_graph::json;
 
 pub use loadgen::{
     run_sessions, Client, LoadConfig, LoadMode, LoadReport, SessionLoadConfig, SessionLoadReport,

@@ -360,9 +360,7 @@ impl WorkerContext {
                 }
                 let mut s = OnlineScheduler::with_algo(algo, mu);
                 if let Some(name) = &req.policy {
-                    let policy = QueuePolicy::all()
-                        .into_iter()
-                        .find(|p| p.name() == name)
+                    let policy = QueuePolicy::by_name(name)
                         .ok_or_else(|| format!("unknown policy `{name}`"))?;
                     s = s.with_policy(policy);
                 }
@@ -428,13 +426,7 @@ pub(crate) fn build_trace_graph(
 
 /// Parse a model-class name (the same names the CLI accepts).
 pub(crate) fn parse_model_class(name: &str) -> Result<ModelClass, String> {
-    Ok(match name {
-        "roofline" => ModelClass::Roofline,
-        "communication" | "comm" => ModelClass::Communication,
-        "amdahl" => ModelClass::Amdahl,
-        "general" => ModelClass::General,
-        other => return Err(format!("unknown model class `{other}`")),
-    })
+    ModelClass::by_name(name).ok_or_else(|| format!("unknown model class `{name}`"))
 }
 
 fn allocations_json(schedule: &Schedule) -> Json {

@@ -3,28 +3,15 @@
 //! Renders a [`Schedule`] as the Trace Event Format consumed by
 //! `chrome://tracing` and <https://ui.perfetto.dev>: one complete
 //! (`"ph": "X"`) event per placement, with the processor id as the
-//! thread lane when concrete processor ids were recorded. The JSON is
-//! written by hand — the format is a flat array of small objects.
+//! thread lane when concrete processor ids were recorded. The format
+//! is a flat array of small objects, written directly; labels are
+//! quoted with [`moldable_graph::json::write_str`].
 
 use std::fmt::Write as _;
 
-use crate::Schedule;
+use moldable_graph::json;
 
-/// Escape a string for a JSON string literal (quotes and backslashes;
-/// control characters are replaced by spaces — task labels never
-/// legitimately contain them).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if c.is_control() => out.push(' '),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::Schedule;
 
 impl Schedule {
     /// Render as Chrome Trace Event JSON. `label` maps a task index to
@@ -39,7 +26,8 @@ impl Schedule {
         let mut out = String::from("[\n");
         let mut first = true;
         for (i, pl) in self.placements.iter().enumerate() {
-            let name = json_escape(&label(pl.task.index()));
+            let mut name = String::new();
+            json::write_str(&label(pl.task.index()), &mut name);
             let ts = pl.start * 1e6;
             let dur = pl.duration() * 1e6;
             let mut lanes: Vec<u32> = Vec::new();
@@ -57,7 +45,7 @@ impl Schedule {
                 first = false;
                 let _ = write!(
                     out,
-                    "  {{\"name\": \"{name}\", \"ph\": \"X\", \"pid\": 0, \"tid\": {lane}, \
+                    "  {{\"name\": {name}, \"ph\": \"X\", \"pid\": 0, \"tid\": {lane}, \
                      \"ts\": {ts:.3}, \"dur\": {dur:.3}, \
                      \"args\": {{\"task\": {}, \"procs\": {}}}}}",
                     pl.task.0, pl.procs
@@ -103,7 +91,7 @@ mod tests {
         let mut sb = ScheduleBuilder::new(1);
         sb.place(TaskId(0), 0.0, 1.0, 1);
         let json = sb.build().to_chrome_trace(|_| "a\"b\\c\n".to_string());
-        assert!(json.contains("a\\\"b\\\\c "));
+        assert!(json.contains(r#""name": "a\"b\\c\n""#));
     }
 
     #[test]
