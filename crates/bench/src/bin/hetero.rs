@@ -10,11 +10,12 @@
 use moldable_bench::{write_result, Table};
 use moldable_hetero::{
     hetero_lower_bound, simulate_hetero, CpuOnly, GpuOnly, HeteroEct, HeteroGraph, HeteroPlatform,
-    HeteroScheduler, HeteroTask, MuHetero,
+    HeteroTask, MuHetero,
 };
 use moldable_model::rng::Rng;
 use moldable_model::rng::StdRng;
 use moldable_model::SpeedupModel;
+use moldable_sim::Scheduler;
 
 /// Random layered DAG with per-task pool affinity: a fraction of tasks
 /// is `accel`-times faster on the GPU, the rest on the CPU.
@@ -73,7 +74,7 @@ fn main() {
         for seed in 0..seeds {
             let g = workload(frac, seed * 31 + 7);
             let lb = hetero_lower_bound(&g, pf);
-            let mut scheds: Vec<Box<dyn HeteroScheduler>> = vec![
+            let mut scheds: Vec<Box<dyn Scheduler<HeteroPlatform>>> = vec![
                 Box::new(MuHetero::default_mu()),
                 Box::new(HeteroEct::new()),
                 Box::new(CpuOnly::new()),

@@ -8,6 +8,7 @@
 //! fault schedule — the property the `chaos` CLI's reproducibility
 //! check rests on.
 
+use moldable_core::registry::ALGOS;
 use moldable_model::rng::{Rng, SplitMix64, StdRng};
 
 /// A fault applied at the socket layer, on its own fresh connection.
@@ -173,10 +174,6 @@ const SHAPES: &[(&str, u32, u32)] = &[
 /// Model classes the planner cycles through.
 const MODELS: &[&str] = &["amdahl", "roofline", "communication", "general"];
 
-/// Registry algorithms the planner mixes across scenarios. Must match
-/// `moldable_core::registry::ALGO_NAMES` (pinned by a test below).
-const ALGOS: &[&str] = &["icpp22", "improved23"];
-
 /// One seeded chaos scenario: a workload template, a fault schedule,
 /// and the clean submits whose makespans must match a fault-free run.
 #[derive(Debug, Clone, PartialEq)]
@@ -271,8 +268,9 @@ impl Scenario {
 
         // Drawn last so adding the algorithm dimension left every
         // pre-existing parameter of the seeded schedule untouched.
-        let algo = ALGOS[usize::try_from(rng.gen_range(0u64..ALGOS.len() as u64))
-            .expect("algo index fits usize")];
+        let algo = usize::try_from(rng.gen_range(0u64..ALGOS.len() as u64))
+            .expect("algo index fits usize");
+        let algo = ALGOS[algo].name();
 
         Self {
             index,
@@ -413,14 +411,6 @@ mod tests {
         assert!(models.len() >= 3, "model variety: {models:?}");
         assert_eq!(algos.len(), 2, "both registry algorithms drawn: {algos:?}");
         assert!(drains > 0, "some scenario drains under load");
-    }
-
-    #[test]
-    fn planner_algos_match_the_registry() {
-        assert_eq!(ALGOS, moldable_core::registry::ALGO_NAMES);
-        for s in &FaultPlan::new(7, 20).scenarios {
-            moldable_core::registry::by_name(s.algo).expect("scenario algo is registered");
-        }
     }
 
     #[test]

@@ -64,4 +64,4 @@ pub use memo::AllocCache;
 pub use online::OnlineScheduler;
 pub use policy::QueuePolicy;
 pub use ready_queue::{IndexedQueue, ReadyItem, SPILL_THRESHOLD};
-pub use registry::{AlgoName, ALGOS, ALGO_NAMES};
+pub use registry::{AlgoName, ALGOS};

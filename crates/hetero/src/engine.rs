@@ -1,64 +1,38 @@
-//! Event-driven simulation over two processor pools.
-//!
-//! A compact sibling of `moldable_sim`'s engine: the same online
-//! revelation model (tasks appear when their predecessors finish), but
-//! a start decision is `(task, pool, allocation)` and capacity is
-//! tracked per pool.
+//! Simulation over two processor pools: [`HeteroPlatform`] is a
+//! [`Platform`] whose lanes are the pools, so a hybrid run is one
+//! [`Stepper`] run, with the same online revelation model (tasks
+//! appear when their predecessors finish) and event semantics as the
+//! homogeneous engine. A start decision is `(task, pool, allocation)`
+//! and capacity is tracked per pool.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::fmt;
+use moldable_graph::TaskId;
+use moldable_sim::{
+    GraphInstance, Instance, Placement, Platform, Schedule, Scheduler, SimError, Stepper,
+    ValidationError,
+};
 
-use moldable_graph::{Frontier, TaskId};
-use moldable_sim::{Placement, Schedule, ValidationError};
+use crate::{HeteroGraph, HeteroPlatform, HeteroTask, Pool};
 
-use crate::{HeteroGraph, HeteroPlatform, HeteroScheduler, Pool};
+impl Platform for HeteroPlatform {
+    type Lane = Pool;
+    type Task = HeteroTask;
+    type Pick = (TaskId, Pool, u32);
 
-/// Why a hybrid simulation failed (scheduler bugs, as in the
-/// homogeneous engine).
-#[derive(Debug, Clone, PartialEq)]
-pub enum HeteroError {
-    /// Started a task that was not available.
-    NotAvailable(TaskId),
-    /// Zero-processor allocation.
-    ZeroProcs(TaskId),
-    /// Batch exceeded a pool's free processors.
-    Oversubscribed {
-        /// Offending task.
-        task: TaskId,
-        /// The pool that was oversubscribed.
-        pool: Pool,
-        /// Requested allocation.
-        want: u32,
-        /// Free processors in that pool.
-        free: u32,
-    },
-    /// Available work exists but nothing runs and nothing was started.
-    Stuck {
-        /// Time progress stopped.
-        time: f64,
-    },
-}
-
-impl fmt::Display for HeteroError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::NotAvailable(t) => write!(f, "task {t} not available"),
-            Self::ZeroProcs(t) => write!(f, "task {t} started on zero processors"),
-            Self::Oversubscribed {
-                task,
-                pool,
-                want,
-                free,
-            } => {
-                write!(f, "{task} wants {want} {pool} procs, only {free} free")
-            }
-            Self::Stuck { time } => write!(f, "no progress at t={time}"),
+    fn free_mut(&mut self, lane: Pool) -> &mut u32 {
+        match lane {
+            Pool::Cpu => &mut self.cpus,
+            Pool::Gpu => &mut self.gpus,
         }
     }
-}
 
-impl std::error::Error for HeteroError {}
+    fn split(pick: (TaskId, Pool, u32)) -> (TaskId, Pool, u32) {
+        pick
+    }
+
+    fn time(task: &HeteroTask, lane: Pool, p: u32) -> f64 {
+        task.model(lane).time(p)
+    }
+}
 
 /// The result of a hybrid run: one [`Schedule`] per pool plus the
 /// pool assignment, sharing a common clock.
@@ -132,30 +106,33 @@ impl HeteroSchedule {
     }
 }
 
-struct Ev {
-    time: f64,
-    seq: u64,
-    task: TaskId,
-    pool: Pool,
-    procs: u32,
+/// A [`HeteroGraph`] as an [`Instance`] of the hybrid platform: the
+/// graph's structure drives revelation, and each task is handed out
+/// with both pool models.
+struct HeteroInstance<'a> {
+    graph: GraphInstance<'a>,
+    tasks: Vec<HeteroTask>,
 }
 
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+impl Instance<HeteroPlatform> for HeteroInstance<'_> {
+    fn initial(&mut self) -> Vec<TaskId> {
+        self.graph.initial()
     }
-}
-impl Eq for Ev {}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+    fn on_complete_into(&mut self, task: TaskId, time: f64, out: &mut Vec<TaskId>) {
+        self.graph.on_complete_into(task, time, out);
     }
-}
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time
-            .total_cmp(&other.time)
-            .then(self.seq.cmp(&other.seq))
+
+    fn is_done(&self) -> bool {
+        self.graph.is_done()
+    }
+
+    fn model(&self, task: TaskId) -> &HeteroTask {
+        &self.tasks[task.index()]
+    }
+
+    fn size_hint(&self) -> usize {
+        self.tasks.len()
     }
 }
 
@@ -163,7 +140,7 @@ impl Ord for Ev {
 ///
 /// # Errors
 ///
-/// Returns a [`HeteroError`] on scheduler misbehaviour.
+/// Returns a [`SimError`] on scheduler misbehaviour.
 ///
 /// # Panics
 ///
@@ -171,158 +148,52 @@ impl Ord for Ev {
 pub fn simulate_hetero(
     graph: &HeteroGraph,
     platform: HeteroPlatform,
-    scheduler: &mut dyn HeteroScheduler,
-) -> Result<HeteroSchedule, HeteroError> {
+    scheduler: &mut dyn Scheduler<HeteroPlatform>,
+) -> Result<HeteroSchedule, SimError> {
     assert!(
         platform.cpus >= 1 && platform.gpus >= 1,
         "both pools must be non-empty"
     );
-    scheduler.init(platform);
     // Freeze a CSR snapshot for the frontier; O(V + E) once per run.
     let structure = graph.structure().clone().freeze();
-    let structure = &structure;
-    let mut frontier = Frontier::new(structure);
-    let n = graph.n_tasks();
-
-    let mut available = vec![false; n];
-    let mut started = vec![false; n];
-    let mut assignment = vec![Pool::Cpu; n];
-    let mut cpu_placements: Vec<Placement> = Vec::new();
-    let mut gpu_placements: Vec<Placement> = Vec::new();
-    let mut free_cpu = platform.cpus;
-    let mut free_gpu = platform.gpus;
-    let mut heap: BinaryHeap<Reverse<Ev>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let mut time = 0.0f64;
-
-    for t in frontier.initial(structure) {
-        available[t.index()] = true;
-        scheduler.release(
-            t,
-            &crate::HeteroTask {
+    let instance = HeteroInstance {
+        graph: GraphInstance::new(&structure),
+        tasks: structure
+            .task_ids()
+            .map(|t| HeteroTask {
                 cpu: graph.model(t, Pool::Cpu).clone(),
                 gpu: graph.model(t, Pool::Gpu).clone(),
-            },
-        );
-    }
-
-    macro_rules! decide {
-        () => {
-            loop {
-                let picks = scheduler.select(time, free_cpu, free_gpu);
-                if picks.is_empty() {
-                    break;
-                }
-                for (t, pool, p) in picks {
-                    if t.index() >= n || !available[t.index()] || started[t.index()] {
-                        return Err(HeteroError::NotAvailable(t));
-                    }
-                    if p == 0 {
-                        return Err(HeteroError::ZeroProcs(t));
-                    }
-                    let free = match pool {
-                        Pool::Cpu => &mut free_cpu,
-                        Pool::Gpu => &mut free_gpu,
-                    };
-                    if p > *free {
-                        return Err(HeteroError::Oversubscribed {
-                            task: t,
-                            pool,
-                            want: p,
-                            free: *free,
-                        });
-                    }
-                    *free -= p;
-                    started[t.index()] = true;
-                    assignment[t.index()] = pool;
-                    let dur = graph.model(t, pool).time(p);
-                    let pl = Placement {
-                        task: t,
-                        start: time,
-                        end: time + dur,
-                        procs: p,
-                        proc_ranges: Vec::new(),
-                        released: time,
-                    };
-                    match pool {
-                        Pool::Cpu => cpu_placements.push(pl),
-                        Pool::Gpu => gpu_placements.push(pl),
-                    }
-                    heap.push(Reverse(Ev {
-                        time: time + dur,
-                        seq,
-                        task: t,
-                        pool,
-                        procs: p,
-                    }));
-                    seq += 1;
-                }
-            }
-        };
-    }
-
-    decide!();
-    if heap.is_empty() && !frontier.all_done() && n > 0 {
-        return Err(HeteroError::Stuck { time: 0.0 });
-    }
-    while let Some(Reverse(ev)) = heap.pop() {
-        time = ev.time;
-        let mut batch = vec![(ev.task, ev.pool, ev.procs)];
-        while let Some(Reverse(peek)) = heap.peek() {
-            if peek.time == time {
-                let Reverse(e) = heap.pop().expect("peeked");
-                batch.push((e.task, e.pool, e.procs));
-            } else {
-                break;
-            }
-        }
-        for &(_, pool, procs) in &batch {
-            match pool {
-                Pool::Cpu => free_cpu += procs,
-                Pool::Gpu => free_gpu += procs,
-            }
-        }
-        for &(t, _, _) in &batch {
-            for s in frontier.complete(structure, t) {
-                available[s.index()] = true;
-                scheduler.release(
-                    s,
-                    &crate::HeteroTask {
-                        cpu: graph.model(s, Pool::Cpu).clone(),
-                        gpu: graph.model(s, Pool::Gpu).clone(),
-                    },
-                );
-            }
-        }
-        decide!();
-        if heap.is_empty() && !frontier.all_done() {
-            return Err(HeteroError::Stuck { time });
-        }
-    }
-
-    let mk = |placements: Vec<Placement>, p_total: u32| {
-        let makespan = placements.iter().map(|p| p.end).fold(0.0, f64::max);
-        Schedule {
-            p_total,
-            placements,
-            makespan,
-        }
+            })
+            .collect(),
     };
-    let cpu = mk(cpu_placements, platform.cpus);
-    let gpu = mk(gpu_placements, platform.gpus);
-    let makespan = cpu.makespan.max(gpu.makespan);
+    let run = Stepper::with_platform(instance, scheduler, platform).finish_lanes()?;
+
+    let mut assignment = vec![Pool::Cpu; graph.n_tasks()];
+    let (mut cpu, mut gpu) = (Vec::new(), Vec::new());
+    for (pl, pool) in run.placements.into_iter().zip(run.lanes) {
+        assignment[pl.task.index()] = pool;
+        match pool {
+            Pool::Cpu => cpu.push(pl),
+            Pool::Gpu => gpu.push(pl),
+        }
+    }
+    let mk = |placements: Vec<Placement>, p_total: u32| Schedule {
+        p_total,
+        makespan: placements.iter().map(|p| p.end).fold(0.0, f64::max),
+        placements,
+    };
     Ok(HeteroSchedule {
-        cpu,
-        gpu,
+        cpu: mk(cpu, platform.cpus),
+        gpu: mk(gpu, platform.gpus),
         assignment,
-        makespan,
+        makespan: run.makespan,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HeteroTask, MuHetero};
+    use crate::{CpuOnly, HeteroTask, MuHetero};
     use moldable_model::SpeedupModel;
 
     fn platform() -> HeteroPlatform {
@@ -377,31 +248,42 @@ mod tests {
     #[test]
     fn oversubscription_is_caught() {
         struct Bad;
-        impl crate::HeteroScheduler for Bad {
+        impl Scheduler<HeteroPlatform> for Bad {
             fn release(&mut self, _t: TaskId, _task: &HeteroTask) {}
-            fn select(&mut self, _now: f64, _fc: u32, _fg: u32) -> Vec<(TaskId, Pool, u32)> {
-                vec![(TaskId(0), Pool::Gpu, 99)]
+            fn select_into(
+                &mut self,
+                _now: f64,
+                _f: HeteroPlatform,
+                out: &mut Vec<(TaskId, Pool, u32)>,
+            ) {
+                out.push((TaskId(0), Pool::Gpu, 99));
             }
         }
         let mut g = HeteroGraph::new();
         g.add_task(cpu_friendly());
         let err = simulate_hetero(&g, platform(), &mut Bad).unwrap_err();
-        assert!(matches!(
+        // The GPU pool's own count (2) is reported, not the CPUs' 4.
+        assert_eq!(
             err,
-            HeteroError::Oversubscribed {
-                pool: Pool::Gpu,
-                ..
+            SimError::Oversubscribed {
+                task: TaskId(0),
+                want: 99,
+                free: 2,
             }
-        ));
+        );
     }
 
     #[test]
     fn lazy_scheduler_is_stuck() {
         struct Lazy;
-        impl crate::HeteroScheduler for Lazy {
+        impl Scheduler<HeteroPlatform> for Lazy {
             fn release(&mut self, _t: TaskId, _task: &HeteroTask) {}
-            fn select(&mut self, _now: f64, _fc: u32, _fg: u32) -> Vec<(TaskId, Pool, u32)> {
-                Vec::new()
+            fn select_into(
+                &mut self,
+                _now: f64,
+                _f: HeteroPlatform,
+                _out: &mut Vec<(TaskId, Pool, u32)>,
+            ) {
             }
         }
         let mut g = HeteroGraph::new();
@@ -410,7 +292,25 @@ mod tests {
         // A lazy scheduler starts nothing: the engine reports Stuck
         // (the heap is empty and the frontier is not done).
         let err = simulate_hetero(&g, platform(), &mut Lazy).unwrap_err();
-        assert!(matches!(err, HeteroError::Stuck { .. }));
+        assert!(matches!(err, SimError::Stuck { .. }));
+    }
+
+    #[test]
+    fn a_task_kept_waiting_by_a_busy_pool_reports_its_release() {
+        // One CPU: `b` is revealed when `a` ends, but `c`, queued
+        // first, takes the CPU and `b` waits for it.
+        let pf = HeteroPlatform { cpus: 1, gpus: 1 };
+        let mut g = HeteroGraph::new();
+        let a = g.add_task(cpu_friendly());
+        let c = g.add_task(cpu_friendly());
+        let b = g.add_task(cpu_friendly());
+        g.add_edge(a, b).unwrap();
+        let hs = simulate_hetero(&g, pf, &mut CpuOnly::new()).unwrap();
+        hs.validate(&g, pf).unwrap();
+        let at = |t: TaskId| hs.cpu.placements.iter().find(|pl| pl.task == t).unwrap();
+        assert_eq!(at(b).released.to_bits(), at(a).end.to_bits());
+        assert_eq!(at(b).start.to_bits(), at(c).end.to_bits());
+        assert!(at(b).waiting() > 0.0, "{:?}", at(b));
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl HeteroTask {
 ///
 /// Internally the CPU models live in a [`GraphBuilder`] (which also
 /// owns the structure) and the GPU models in a parallel vector. The
-/// hetero engine freezes a CSR snapshot per run; this type stays
+/// hybrid simulation freezes a CSR snapshot per run; this type stays
 /// mutable so platforms can be assembled incrementally.
 #[derive(Debug, Clone, Default)]
 pub struct HeteroGraph {

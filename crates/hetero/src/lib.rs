@@ -11,10 +11,15 @@
 //! allocation — non-preemptively, with the same online revelation
 //! model as the homogeneous case.
 //!
+//! The hybrid platform is a two-lane [`moldable_sim::Platform`], so
+//! [`simulate_hetero`] is one run of the homogeneous engine's
+//! [`moldable_sim::Stepper`] and the schedulers implement
+//! [`moldable_sim::Scheduler`]`<HeteroPlatform>`.
+//!
 //! No constant competitive ratio is claimed here (none is known for
 //! this combination); the crate provides the machinery — platform,
-//! graph, simulator, schedulers, and a *valid* fractional lower bound —
-//! and the `hetero` experiment compares the pool-choice rules.
+//! graph, schedulers, and a *valid* fractional lower bound — and the
+//! `hetero` experiment compares the pool-choice rules.
 
 #![forbid(unsafe_code)]
 
@@ -24,9 +29,9 @@ mod graph;
 mod sched;
 
 pub use bound::hetero_lower_bound;
-pub use engine::{simulate_hetero, HeteroError, HeteroSchedule};
+pub use engine::{simulate_hetero, HeteroSchedule};
 pub use graph::{HeteroGraph, HeteroPlatform, HeteroTask, Pool};
-pub use sched::{CpuOnly, GpuOnly, HeteroEct, HeteroScheduler, MuHetero};
+pub use sched::{CpuOnly, GpuOnly, HeteroEct, MuHetero};
 
 #[cfg(test)]
 mod tests {

@@ -5,21 +5,9 @@ use std::collections::VecDeque;
 use moldable_core::allocate;
 use moldable_graph::TaskId;
 use moldable_model::MU_MAX;
+use moldable_sim::Scheduler;
 
 use crate::{HeteroPlatform, HeteroTask, Pool};
-
-/// An online policy over two pools: the hybrid analogue of
-/// [`moldable_sim::Scheduler`].
-pub trait HeteroScheduler {
-    /// Called once before the run.
-    fn init(&mut self, platform: HeteroPlatform) {
-        let _ = platform;
-    }
-    /// A task became available; both pool models are now known.
-    fn release(&mut self, task: TaskId, models: &HeteroTask);
-    /// Start tasks now; batch totals must fit the per-pool free counts.
-    fn select(&mut self, now: f64, free_cpu: u32, free_gpu: u32) -> Vec<(TaskId, Pool, u32)>;
-}
 
 /// Queue entry with per-pool precomputed allocations.
 #[derive(Debug, Clone, Copy)]
@@ -78,7 +66,7 @@ impl MuHetero {
     }
 }
 
-impl HeteroScheduler for MuHetero {
+impl Scheduler<HeteroPlatform> for MuHetero {
     fn init(&mut self, platform: HeteroPlatform) {
         self.platform = platform;
     }
@@ -95,10 +83,9 @@ impl HeteroScheduler for MuHetero {
         });
     }
 
-    fn select(&mut self, _now: f64, free_cpu: u32, free_gpu: u32) -> Vec<(TaskId, Pool, u32)> {
-        let mut fc = free_cpu;
-        let mut fg = free_gpu;
-        let mut out = Vec::new();
+    fn select_into(&mut self, _now: f64, free: HeteroPlatform, out: &mut Vec<(TaskId, Pool, u32)>) {
+        let mut fc = free.cpus;
+        let mut fg = free.gpus;
         self.queue.retain(|it| {
             let cpu_ok = it.cpu_procs <= fc;
             let gpu_ok = it.gpu_procs <= fg;
@@ -130,7 +117,6 @@ impl HeteroScheduler for MuHetero {
                 None => true,
             }
         });
-        out
     }
 }
 
@@ -156,7 +142,7 @@ impl Default for HeteroPlatform {
     }
 }
 
-impl HeteroScheduler for HeteroEct {
+impl Scheduler<HeteroPlatform> for HeteroEct {
     fn init(&mut self, platform: HeteroPlatform) {
         self.platform = platform;
     }
@@ -165,10 +151,9 @@ impl HeteroScheduler for HeteroEct {
         self.queue.push_back((task, models.clone()));
     }
 
-    fn select(&mut self, _now: f64, free_cpu: u32, free_gpu: u32) -> Vec<(TaskId, Pool, u32)> {
-        let mut fc = free_cpu;
-        let mut fg = free_gpu;
-        let mut out = Vec::new();
+    fn select_into(&mut self, _now: f64, free: HeteroPlatform, out: &mut Vec<(TaskId, Pool, u32)>) {
+        let mut fc = free.cpus;
+        let mut fg = free.gpus;
         while let Some((task, models)) = self.queue.front() {
             let mut best: Option<(f64, Pool, u32)> = None;
             if fc > 0 {
@@ -191,7 +176,6 @@ impl HeteroScheduler for HeteroEct {
             }
             self.queue.pop_front();
         }
-        out
     }
 }
 
@@ -214,15 +198,16 @@ impl Default for CpuOnly {
     }
 }
 
-impl HeteroScheduler for CpuOnly {
+impl Scheduler<HeteroPlatform> for CpuOnly {
     fn init(&mut self, platform: HeteroPlatform) {
         self.0.init(platform);
     }
     fn release(&mut self, task: TaskId, models: &HeteroTask) {
         self.0.release(task, models);
     }
-    fn select(&mut self, now: f64, free_cpu: u32, _fg: u32) -> Vec<(TaskId, Pool, u32)> {
-        self.0.select(now, free_cpu, 0)
+    fn select_into(&mut self, now: f64, free: HeteroPlatform, out: &mut Vec<(TaskId, Pool, u32)>) {
+        self.0
+            .select_into(now, HeteroPlatform { gpus: 0, ..free }, out);
     }
 }
 
@@ -244,15 +229,16 @@ impl Default for GpuOnly {
     }
 }
 
-impl HeteroScheduler for GpuOnly {
+impl Scheduler<HeteroPlatform> for GpuOnly {
     fn init(&mut self, platform: HeteroPlatform) {
         self.0.init(platform);
     }
     fn release(&mut self, task: TaskId, models: &HeteroTask) {
         self.0.release(task, models);
     }
-    fn select(&mut self, now: f64, _fc: u32, free_gpu: u32) -> Vec<(TaskId, Pool, u32)> {
-        self.0.select(now, 0, free_gpu)
+    fn select_into(&mut self, now: f64, free: HeteroPlatform, out: &mut Vec<(TaskId, Pool, u32)>) {
+        self.0
+            .select_into(now, HeteroPlatform { cpus: 0, ..free }, out);
     }
 }
 
@@ -278,7 +264,7 @@ mod tests {
     fn hybrid_beats_single_pool_on_mixed_workloads() {
         let g = mixed_graph(12);
         let pf = HeteroPlatform { cpus: 6, gpus: 3 };
-        let run = |s: &mut dyn HeteroScheduler| {
+        let run = |s: &mut dyn Scheduler<HeteroPlatform>| {
             let hs = simulate_hetero(&g, pf, s).unwrap();
             hs.validate(&g, pf).unwrap();
             hs.makespan

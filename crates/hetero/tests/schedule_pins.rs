@@ -3,19 +3,20 @@
 //! [`MuHetero`], [`HeteroEct`], [`CpuOnly`] and [`GpuOnly`], and every
 //! schedule must hash to a pinned FNV-1a-64 value.
 //!
-//! The pins hold `simulate_hetero`'s event loop to its exact
-//! revelation order, pool choices, tie-breaks and allocations, so a
-//! later rewrite of that loop (for instance onto the homogeneous
-//! engine's stepper) can be checked byte for byte, not only through
-//! the three-decimal means of `hetero.csv`.
+//! The pins hold `simulate_hetero` to its exact revelation order, pool
+//! choices, tie-breaks and allocations, byte for byte rather than
+//! through the three-decimal means of `hetero.csv`. They were recorded
+//! on the hybrid crate's former event loop and hold unchanged on the
+//! shared `Stepper`.
 
 use moldable_hetero::{
     simulate_hetero, CpuOnly, GpuOnly, HeteroEct, HeteroGraph, HeteroPlatform, HeteroSchedule,
-    HeteroScheduler, HeteroTask, MuHetero, Pool,
+    HeteroTask, MuHetero, Pool,
 };
 use moldable_model::rng::{Rng, StdRng};
 use moldable_model::sample::ParamDistribution;
 use moldable_model::{ModelClass, SpeedupModel};
+use moldable_sim::Scheduler;
 
 /// Same shape as the `slow-tests` property suite's generator: Amdahl
 /// models per pool, forward edges with probability 0.2.
@@ -187,7 +188,7 @@ const PINS: [[u64; 4]; 16] = [
 /// Fingerprints of `g` under MuHetero, HeteroEct, CpuOnly and GpuOnly,
 /// each schedule validated first.
 fn pin_row(g: &HeteroGraph, pf: HeteroPlatform) -> [u64; 4] {
-    let scheds: [&mut dyn HeteroScheduler; 4] = [
+    let scheds: [&mut dyn Scheduler<HeteroPlatform>; 4] = [
         &mut MuHetero::default_mu(),
         &mut HeteroEct::new(),
         &mut CpuOnly::new(),

@@ -223,11 +223,13 @@ impl EventLoop {
                     id => self.on_conn_event(id, ev.mask()),
                 }
             }
+            // Expire before settling: a request whose deadline has
+            // passed is timed out even if its completion is queued.
+            let now = Instant::now();
+            self.expire(now);
             for done in self.shared.take_completions() {
                 self.settle(done);
             }
-            let now = Instant::now();
-            self.expire(now);
             if self.shared.draining() {
                 let started = *drain_started.get_or_insert_with(|| {
                     self.poller.del(self.listener.as_raw_fd());

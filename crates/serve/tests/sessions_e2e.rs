@@ -335,7 +335,7 @@ fn session_event_log_fingerprints_are_pinned_per_algorithm() {
         report
     };
     let mut fingerprints = Vec::new();
-    for algo in moldable_core::registry::ALGO_NAMES {
+    for algo in moldable_core::registry::ALGOS.map(|a| a.name()) {
         let report = run(algo);
         assert!(report.ledgers_balanced, "{algo}: {:?}", report.ledgers);
         assert_eq!(report.dags_ok, 4, "{algo}");

@@ -1,6 +1,6 @@
-//! The engine's traits ([`Scheduler`], [`Instance`]), its
-//! options and errors, and the one-shot entry points [`simulate`] and
-//! [`simulate_instance`]. Both entry points run the event loop of
+//! The engine's traits ([`Platform`], [`Scheduler`], [`Instance`]),
+//! its options and errors, and the one-shot entry points [`simulate`]
+//! and [`simulate_instance`]. Both entry points run the event loop of
 //! [`Stepper`] to quiescence; it is the crate's only per-event loop.
 
 use std::fmt;
@@ -10,6 +10,54 @@ use moldable_model::SpeedupModel;
 
 use crate::{Schedule, Stepper};
 
+/// The processors a run shares out, as seen by the engine: one or more
+/// *lanes* (pools of identical processors), a free count per lane, and
+/// the per-task model that gives a duration on `p` processors of a
+/// lane. A value of the type is a vector of processor counts: the
+/// engine starts from the platform's size and hands the scheduler the
+/// counts that are currently free.
+///
+/// The paper's platform is `u32`: `P` identical processors in one lane
+/// `()`, with a [`SpeedupModel`] per task. It is the default parameter
+/// of [`Scheduler`], [`Instance`] and [`Stepper`], so the homogeneous
+/// case names no platform at all and its per-placement lane log is a
+/// zero-sized `Vec<()>`.
+pub trait Platform: Copy + fmt::Debug {
+    /// Which pool a task runs on, fixed at its start.
+    type Lane: Copy;
+    /// What the scheduler learns about a task at its release.
+    type Task: ?Sized;
+    /// One start decision: task, lane and allocation, in the form the
+    /// scheduler appends it.
+    type Pick: Copy;
+
+    /// The count of `lane`: the engine reads it, takes a start's
+    /// processors from it and gives them back at the completion.
+    fn free_mut(&mut self, lane: Self::Lane) -> &mut u32;
+    /// The task, lane and allocation of a pick.
+    fn split(pick: Self::Pick) -> (TaskId, Self::Lane, u32);
+    /// Execution time of `task` on `p` processors of `lane`.
+    fn time(task: &Self::Task, lane: Self::Lane, p: u32) -> f64;
+}
+
+impl Platform for u32 {
+    type Lane = ();
+    type Task = SpeedupModel;
+    type Pick = (TaskId, u32);
+
+    fn free_mut(&mut self, (): ()) -> &mut u32 {
+        self
+    }
+
+    fn split((task, p): (TaskId, u32)) -> (TaskId, (), u32) {
+        (task, (), p)
+    }
+
+    fn time(task: &SpeedupModel, (): (), p: u32) -> f64 {
+        task.time(p)
+    }
+}
+
 /// An online scheduling policy, driven by the engine.
 ///
 /// The engine calls [`Scheduler::release`] exactly once per task, when
@@ -18,24 +66,26 @@ use crate::{Schedule, Stepper};
 /// speedup model, matching the paper's online information model. At
 /// every decision point (time 0 and each completion) the engine calls
 /// [`Scheduler::select_into`] repeatedly until it appends nothing.
-pub trait Scheduler {
-    /// Called once before the simulation starts.
-    fn init(&mut self, p_total: u32) {
-        let _ = p_total;
+pub trait Scheduler<P: Platform = u32> {
+    /// Called once before the simulation starts, with the platform's
+    /// size (`P` on the homogeneous platform).
+    fn init(&mut self, platform: P) {
+        let _ = platform;
     }
 
     /// A task has become available; its execution-time parameters are
     /// now known.
-    fn release(&mut self, task: TaskId, model: &SpeedupModel);
+    fn release(&mut self, task: TaskId, model: &P::Task);
 
-    /// Choose tasks to start *now*, appending them to `out`. `free` is
-    /// the number of currently idle processors; the total allocation of
-    /// the appended batch must not exceed it. Append nothing to wait for
-    /// the next event. The engine clears and reuses one buffer across
-    /// all decision points, so a scheduler that keeps its own scratch
-    /// runs allocation-free at steady state; implementations must only
+    /// Choose tasks to start *now*, appending them to `out`. `free`
+    /// holds the currently idle processors of each lane; the total
+    /// allocation the appended batch puts on a lane must not exceed
+    /// that lane's count. Append nothing to wait for the next event.
+    /// The engine clears and reuses one buffer across all decision
+    /// points, so a scheduler that keeps its own scratch runs
+    /// allocation-free at steady state; implementations must only
     /// append.
-    fn select_into(&mut self, now: f64, free: u32, out: &mut Vec<(TaskId, u32)>);
+    fn select_into(&mut self, now: f64, free: P, out: &mut Vec<P::Pick>);
 }
 
 /// A source of tasks for the engine. The static case is a
@@ -49,7 +99,7 @@ pub trait Scheduler {
 /// clones a `SpeedupModel` per task, which used to dominate release
 /// cost on large instances (a clone bumps an `Arc` for table/formula
 /// models and copies parameter structs for closed-form ones, per task).
-pub trait Instance {
+pub trait Instance<P: Platform = u32> {
     /// Tasks available at time 0, in release order.
     fn initial(&mut self) -> Vec<TaskId>;
 
@@ -63,9 +113,9 @@ pub trait Instance {
     /// Have all tasks of the instance completed?
     fn is_done(&self) -> bool;
 
-    /// The speedup model of a task this instance has released. Must be
-    /// stable from the task's release to its completion.
-    fn model(&self, task: TaskId) -> &SpeedupModel;
+    /// The model of a task this instance has released. Must be stable
+    /// from the task's release to its completion.
+    fn model(&self, task: TaskId) -> &P::Task;
 
     /// Expected number of tasks this instance will release (0 when
     /// unknown). The engine pre-sizes its per-task state from this, so
@@ -93,23 +143,23 @@ pub trait Instance {
 
 /// Forwards every method, so a borrowed scheduler (`&mut dyn
 /// Scheduler` in [`simulate`]) keeps its own `init`.
-impl<T: Scheduler + ?Sized> Scheduler for &mut T {
-    fn init(&mut self, p_total: u32) {
-        (**self).init(p_total);
+impl<P: Platform, T: Scheduler<P> + ?Sized> Scheduler<P> for &mut T {
+    fn init(&mut self, platform: P) {
+        (**self).init(platform);
     }
 
-    fn release(&mut self, task: TaskId, model: &SpeedupModel) {
+    fn release(&mut self, task: TaskId, model: &P::Task) {
         (**self).release(task, model);
     }
 
-    fn select_into(&mut self, now: f64, free: u32, out: &mut Vec<(TaskId, u32)>) {
+    fn select_into(&mut self, now: f64, free: P, out: &mut Vec<P::Pick>) {
         (**self).select_into(now, free, out);
     }
 }
 
 /// Forwards every method, so a borrowed instance keeps its own size
 /// hint and timed arrivals.
-impl<T: Instance + ?Sized> Instance for &mut T {
+impl<P: Platform, T: Instance<P> + ?Sized> Instance<P> for &mut T {
     fn initial(&mut self) -> Vec<TaskId> {
         (**self).initial()
     }
@@ -122,7 +172,7 @@ impl<T: Instance + ?Sized> Instance for &mut T {
         (**self).is_done()
     }
 
-    fn model(&self, task: TaskId) -> &SpeedupModel {
+    fn model(&self, task: TaskId) -> &P::Task {
         (**self).model(task)
     }
 
@@ -216,13 +266,14 @@ pub enum SimError {
     NotAvailable(TaskId),
     /// The scheduler started a task with a zero-processor allocation.
     ZeroProcs(TaskId),
-    /// The scheduler's batch exceeded the free processors.
+    /// The scheduler's batch exceeded the free processors of a lane.
     Oversubscribed {
         /// Offending task.
         task: TaskId,
         /// Processors the task asked for.
         want: u32,
-        /// Processors actually free at that point of the batch.
+        /// Processors of the task's lane actually free at that point
+        /// of the batch.
         free: u32,
     },
     /// Available tasks exist but nothing is running and the scheduler

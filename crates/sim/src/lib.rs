@@ -22,7 +22,9 @@
 //!
 //! There is one engine, [`Stepper`]: [`simulate`] and
 //! [`simulate_instance`] run it to quiescence, and long-lived services
-//! advance it in slices. The loop costs little per event; the cost of
+//! advance it in slices. Its processors are a [`Platform`], by default
+//! `u32` (`P` identical processors); the hybrid CPU+GPU crate runs the
+//! same loop over a platform with two lanes. The loop costs little per event; the cost of
 //! a release or a decision point belongs to the scheduler, so a
 //! scheduler's fast path lives in its own [`Scheduler::release`] and
 //! [`Scheduler::select_into`] (as `moldable_core::OnlineScheduler`'s
@@ -77,11 +79,11 @@ pub use arrivals::TimedArrivals;
 /// (`benchmark/`) calls it by this name.
 pub use engine::simulate as simulate_batched;
 pub use engine::{
-    simulate, simulate_instance, GraphInstance, Instance, Scheduler, SimError, SimOptions,
+    simulate, simulate_instance, GraphInstance, Instance, Platform, Scheduler, SimError, SimOptions,
 };
 pub use gantt::gantt_ascii;
 pub use procmap::ProcPool;
 pub use profile::{interval_profile, IntervalProfile};
 pub use schedule::{Placement, Schedule, ScheduleBuilder};
-pub use stepper::Stepper;
+pub use stepper::{LaneSchedule, Stepper};
 pub use validate::ValidationError;

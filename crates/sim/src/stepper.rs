@@ -32,7 +32,7 @@ use std::collections::BinaryHeap;
 
 use moldable_graph::TaskId;
 
-use crate::{Instance, Placement, ProcPool, Schedule, Scheduler, SimError, SimOptions};
+use crate::{Instance, Placement, Platform, ProcPool, Schedule, Scheduler, SimError, SimOptions};
 
 /// Completion run: placements `first .. first + len`, started at one
 /// decision point with bitwise-equal end times `time`. Placement
@@ -73,6 +73,18 @@ impl Ord for Run {
     }
 }
 
+/// A finished run on any [`Platform`]: the placement log in start
+/// order, the lane of each placement, and the makespan.
+#[derive(Debug, Clone)]
+pub struct LaneSchedule<L> {
+    /// Every placement, in start order.
+    pub placements: Vec<Placement>,
+    /// `lanes[i]` is the lane `placements[i]` ran on.
+    pub lanes: Vec<L>,
+    /// Completion time of the last task (0 when nothing ran).
+    pub makespan: f64,
+}
+
 /// An in-flight simulation that can be advanced in time slices.
 ///
 /// The stepper owns both the instance and the scheduler (borrow them
@@ -86,13 +98,19 @@ impl Ord for Run {
 /// state for tasks the engine has not yet seen. Rewriting the past
 /// (arrivals before `now`, models of released tasks) breaks the
 /// engine invariants.
-pub struct Stepper<I, S> {
+///
+/// The platform `P` defaults to `u32`, the paper's `P` identical
+/// processors; any other [`Platform`] is run through
+/// [`Stepper::with_platform`] and [`Stepper::finish_lanes`].
+pub struct Stepper<I, S, P: Platform = u32> {
     instance: I,
     scheduler: S,
-    p_total: u32,
-    free: u32,
+    platform: P,
+    free: P,
     pool: Option<ProcPool>,
     placements: Vec<Placement>,
+    /// Per placement: the lane it runs on.
+    lanes: Vec<P::Lane>,
     /// One entry per completion run, not per placement.
     heap: BinaryHeap<Reverse<Run>>,
     time: f64,
@@ -100,7 +118,7 @@ pub struct Stepper<I, S> {
     /// Per task id: released and not yet started.
     available: Vec<bool>,
     released_at: Vec<f64>,
-    picks: Vec<(TaskId, u32)>,
+    picks: Vec<P::Pick>,
     newly: Vec<TaskId>,
     batch: Vec<Run>,
     primed: bool,
@@ -112,22 +130,52 @@ pub struct Stepper<I, S> {
 
 impl<I: Instance, S: Scheduler> Stepper<I, S> {
     /// Wrap `instance` and `scheduler` for incremental simulation on
-    /// `opts.p_total` processors. Calls `scheduler.init`; the initial
+    /// `opts.p_total` processors: [`Stepper::with_platform`] on the
+    /// homogeneous platform, plus processor ids when
+    /// `opts.record_proc_ids` asks for them.
+    pub fn new(instance: I, scheduler: S, opts: &SimOptions) -> Self {
+        let p_total = opts.p_total;
+        let mut st = Self::with_platform(instance, scheduler, p_total);
+        st.pool = opts.record_proc_ids.then(|| ProcPool::new(p_total));
+        st.heap.reserve(p_total as usize);
+        st
+    }
+
+    /// Run the remaining events to quiescence and return the final
+    /// [`Schedule`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Stepper::finish_lanes`].
+    pub fn finish(self) -> Result<Schedule, SimError> {
+        let p_total = self.platform;
+        let run = self.finish_lanes()?;
+        Ok(Schedule {
+            p_total,
+            placements: run.placements,
+            makespan: run.makespan,
+        })
+    }
+}
+
+impl<P: Platform, I: Instance<P>, S: Scheduler<P>> Stepper<I, S, P> {
+    /// Wrap `instance` and `scheduler` for incremental simulation on
+    /// `platform`, every lane idle. Calls `scheduler.init`; the initial
     /// frontier is released lazily on the first advance, so arrivals
     /// registered before the first [`Stepper::advance_until`] are
     /// seen exactly as if they had been there from the start.
-    pub fn new(instance: I, mut scheduler: S, opts: &SimOptions) -> Self {
-        let p_total = opts.p_total;
-        scheduler.init(p_total);
+    pub fn with_platform(instance: I, mut scheduler: S, platform: P) -> Self {
+        scheduler.init(platform);
         let hint = instance.size_hint();
         Self {
             instance,
             scheduler,
-            p_total,
-            free: p_total,
-            pool: opts.record_proc_ids.then(|| ProcPool::new(p_total)),
+            platform,
+            free: platform,
+            pool: None,
             placements: Vec::with_capacity(hint),
-            heap: BinaryHeap::with_capacity(p_total as usize),
+            lanes: Vec::with_capacity(hint),
+            heap: BinaryHeap::new(),
             time: 0.0,
             completed: 0,
             available: Vec::with_capacity(hint),
@@ -148,16 +196,16 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
         self.time
     }
 
-    /// Currently idle processors.
+    /// Currently idle processors, per lane.
     #[must_use]
-    pub fn free(&self) -> u32 {
+    pub fn free(&self) -> P {
         self.free
     }
 
-    /// Platform size.
+    /// Platform size, per lane.
     #[must_use]
-    pub fn p_total(&self) -> u32 {
-        self.p_total
+    pub fn p_total(&self) -> P {
+        self.platform
     }
 
     /// Tasks completed so far.
@@ -219,22 +267,22 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
         self.advance(until, Some(completions))
     }
 
-    /// Run the remaining events to quiescence and return the final
-    /// [`Schedule`].
+    /// Run the remaining events to quiescence and return the placement
+    /// log with each placement's lane.
     ///
     /// # Errors
     ///
     /// Any pending or provoked [`SimError`];
     /// [`SimError::InconsistentInstance`] if the instance is still
     /// unfinished at quiescence.
-    pub fn finish(mut self) -> Result<Schedule, SimError> {
+    pub fn finish_lanes(mut self) -> Result<LaneSchedule<P::Lane>, SimError> {
         self.advance(f64::INFINITY, None)?;
         if !self.instance.is_done() {
             return Err(SimError::InconsistentInstance);
         }
-        Ok(Schedule {
-            p_total: self.p_total,
+        Ok(LaneSchedule {
             placements: self.placements,
+            lanes: self.lanes,
             makespan: self.time,
         })
     }
@@ -270,6 +318,7 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
             scheduler,
             pool,
             placements,
+            lanes,
             heap,
             available,
             released_at,
@@ -338,26 +387,28 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
                         if picks.is_empty() {
                             break;
                         }
-                        for &(t, p) in picks.iter() {
+                        for &pick in picks.iter() {
+                            let (t, lane, p) = P::split(pick);
                             if available.get(t.index()) != Some(&true) {
                                 return Err(SimError::NotAvailable(t));
                             }
                             if p == 0 {
                                 return Err(SimError::ZeroProcs(t));
                             }
-                            if p > free {
+                            let lane_free = free.free_mut(lane);
+                            if p > *lane_free {
                                 return Err(SimError::Oversubscribed {
                                     task: t,
                                     want: p,
-                                    free,
+                                    free: *lane_free,
                                 });
                             }
-                            let end = time + instance.model(t).time(p);
+                            *lane_free -= p;
+                            let end = time + P::time(instance.model(t), lane, p);
                             let proc_ranges = match pool {
                                 Some(pool) => pool.alloc(p).expect("pool tracks free count"),
                                 None => Vec::new(),
                             };
-                            free -= p;
                             available[t.index()] = false;
                             match &mut open {
                                 Some(r) if r.time.to_bits() == end.to_bits() => r.len += 1,
@@ -371,6 +422,7 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
                                     });
                                 }
                             }
+                            lanes.push(lane);
                             placements.push(Placement {
                                 task: t,
                                 start: time,
@@ -429,8 +481,8 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
                 }
                 // 1) free the processors of every completion in the batch
                 for r in batch.iter() {
-                    for pl in &placements[r.indices()] {
-                        free += pl.procs;
+                    for (pl, &lane) in placements[r.indices()].iter().zip(&lanes[r.indices()]) {
+                        *free.free_mut(lane) += pl.procs;
                         if let Some(pool) = pool.as_mut() {
                             pool.release(&pl.proc_ranges);
                         }
@@ -469,10 +521,10 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
     }
 }
 
-impl<I, S> std::fmt::Debug for Stepper<I, S> {
+impl<I, S, P: Platform> std::fmt::Debug for Stepper<I, S, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Stepper")
-            .field("p_total", &self.p_total)
+            .field("p_total", &self.platform)
             .field("free", &self.free)
             .field("now", &self.time)
             .field("completed", &self.completed)
@@ -734,6 +786,139 @@ mod tests {
         assert!(matches!(e1, SimError::Stuck { .. }));
         let e2 = st.advance_until(2.0, &mut done).unwrap_err();
         assert_eq!(e1, e2, "poisoned stepper repeats its error");
+    }
+
+    /// A toy platform with two lanes of processors, indexed 0 and 1.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct TwoLanes([u32; 2]);
+
+    impl Platform for TwoLanes {
+        type Lane = usize;
+        type Task = SpeedupModel;
+        type Pick = (TaskId, usize, u32);
+
+        fn free_mut(&mut self, lane: usize) -> &mut u32 {
+            &mut self.0[lane]
+        }
+        fn split(pick: (TaskId, usize, u32)) -> (TaskId, usize, u32) {
+            pick
+        }
+        fn time(task: &SpeedupModel, _lane: usize, p: u32) -> f64 {
+            task.time(p)
+        }
+    }
+
+    /// Independent tasks, all released at time 0.
+    struct Independent {
+        models: Vec<SpeedupModel>,
+        done: usize,
+    }
+
+    impl Instance<TwoLanes> for Independent {
+        fn initial(&mut self) -> Vec<TaskId> {
+            (0..u32::try_from(self.models.len()).unwrap())
+                .map(TaskId)
+                .collect()
+        }
+        fn on_complete_into(&mut self, _task: TaskId, _time: f64, _out: &mut Vec<TaskId>) {
+            self.done += 1;
+        }
+        fn is_done(&self) -> bool {
+            self.done == self.models.len()
+        }
+        fn model(&self, task: TaskId) -> &SpeedupModel {
+            &self.models[task.index()]
+        }
+    }
+
+    /// FIFO over a fixed `(lane, procs)` plan per task, starting each
+    /// queued task whose lane has room; `blind` starts the head
+    /// without looking.
+    struct LanePlan {
+        plan: Vec<(usize, u32)>,
+        queue: Vec<TaskId>,
+        blind: bool,
+    }
+
+    impl Scheduler<TwoLanes> for LanePlan {
+        fn release(&mut self, task: TaskId, _m: &SpeedupModel) {
+            self.queue.push(task);
+        }
+        fn select_into(
+            &mut self,
+            _now: f64,
+            mut free: TwoLanes,
+            out: &mut Vec<(TaskId, usize, u32)>,
+        ) {
+            let plan = &self.plan;
+            let blind = self.blind;
+            self.queue.retain(|&t| {
+                let (lane, p) = plan[t.index()];
+                let fits = blind || p <= free.0[lane];
+                if fits {
+                    free.0[lane] = free.0[lane].saturating_sub(p);
+                    out.push((t, lane, p));
+                }
+                !fits
+            });
+        }
+    }
+
+    fn two_lane_run(
+        free: [u32; 2],
+        plan: Vec<(usize, u32)>,
+        blind: bool,
+    ) -> Stepper<Independent, LanePlan, TwoLanes> {
+        let instance = Independent {
+            models: vec![unit(2.0), unit(6.0), unit(2.0)],
+            done: 0,
+        };
+        let scheduler = LanePlan {
+            plan,
+            queue: Vec::new(),
+            blind,
+        };
+        Stepper::with_platform(instance, scheduler, TwoLanes(free))
+    }
+
+    #[test]
+    fn an_oversubscribed_lane_is_caught_while_the_other_has_room() {
+        let st = two_lane_run([1, 8], vec![(0, 2), (1, 1), (1, 1)], true);
+        let err = st.finish_lanes().unwrap_err();
+        assert_eq!(
+            err,
+            SimError::Oversubscribed {
+                task: TaskId(0),
+                want: 2,
+                free: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn completions_return_processors_to_their_own_lane() {
+        // Tasks 0 and 2 both need all of lane 0; task 1 holds lane 1
+        // until t = 3. Task 2 starts when task 0 gives lane 0 back.
+        let mut st = two_lane_run([2, 2], vec![(0, 2), (1, 2), (0, 2)], false);
+        st.advance_until(0.5, &mut Vec::new()).unwrap();
+        assert_eq!(st.free(), TwoLanes([0, 0]));
+        st.advance_until(1.5, &mut Vec::new()).unwrap();
+        assert_eq!(
+            st.free(),
+            TwoLanes([0, 0]),
+            "task 2 took lane 0 back at t = 1"
+        );
+        let run = st.finish_lanes().unwrap();
+        let tasks: Vec<u32> = run.placements.iter().map(|pl| pl.task.0).collect();
+        assert_eq!(tasks, [0, 1, 2]);
+        assert_eq!(
+            run.lanes,
+            [0, 1, 0],
+            "one lane per placement, in start order"
+        );
+        let starts: Vec<f64> = run.placements.iter().map(|pl| pl.start).collect();
+        assert_eq!(starts, [0.0, 0.0, 1.0]);
+        assert_eq!(run.makespan, 3.0);
     }
 
     #[test]
