@@ -158,7 +158,8 @@ mod tests {
         );
         // Completing A_1 releases B2,* then A_2.
         let mut f = Frontier::new(&inst.graph);
-        let newly = f.complete(&inst.graph, inst.a_tasks[0]);
+        let mut newly = Vec::new();
+        f.complete_into(&inst.graph, inst.a_tasks[0], &mut newly);
         assert_eq!(
             newly,
             vec![inst.b_tasks[1][0], inst.b_tasks[1][1], inst.a_tasks[1]]

@@ -21,7 +21,7 @@ use moldable_sim::Scheduler;
 /// is `accel`-times faster on the GPU, the rest on the CPU.
 fn workload(gpu_fraction: f64, seed: u64) -> HeteroGraph {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut g = HeteroGraph::new();
+    let mut g = moldable_graph::GraphBuilder::new();
     let layers = 6;
     let width = 10;
     let mut prev: Vec<moldable_graph::TaskId> = Vec::new();
@@ -57,7 +57,7 @@ fn workload(gpu_fraction: f64, seed: u64) -> HeteroGraph {
         }
         prev = cur;
     }
-    g
+    g.freeze()
 }
 
 fn main() {

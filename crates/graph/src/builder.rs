@@ -3,11 +3,15 @@
 //! [`GraphBuilder`] is the only way to create a [`TaskGraph`]: tasks
 //! and edges are added here (checked or trusted), then
 //! [`GraphBuilder::freeze`] compacts everything into the immutable CSR
-//! form the simulator consumes. The builder keeps classic
+//! form the simulator consumes. The builder only constructs: every
+//! read beyond adjacency and counts (sources, topological order,
+//! depth, model class) is served by the frozen graph. It keeps classic
 //! `Vec<Vec<TaskId>>` adjacency — cheap to grow, and the executable
 //! specification the frozen layout is differential-tested against.
+//! Like [`TaskGraph`], it is generic over the per-task payload, with
+//! [`SpeedupModel`] as the default.
 
-use moldable_model::{ModelClass, SpeedupModel};
+use moldable_model::SpeedupModel;
 
 use crate::task_graph::{GraphError, TaskGraph, TaskId};
 
@@ -29,9 +33,9 @@ use crate::task_graph::{GraphError, TaskGraph, TaskId};
 /// Successor lists preserve insertion order; the simulator reveals
 /// newly available tasks in that order, which matters for adversarial
 /// instances (the paper's worst cases assume a specific queue order).
-#[derive(Debug, Clone, Default)]
-pub struct GraphBuilder {
-    models: Vec<SpeedupModel>,
+#[derive(Debug, Clone)]
+pub struct GraphBuilder<T = SpeedupModel> {
+    models: Vec<T>,
     preds: Vec<Vec<TaskId>>,
     succs: Vec<Vec<TaskId>>,
     edge_set: std::collections::HashSet<(u32, u32)>,
@@ -43,7 +47,13 @@ pub struct GraphBuilder {
     generation: u32,
 }
 
-impl GraphBuilder {
+impl<T> Default for GraphBuilder<T> {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
+}
+
+impl<T> GraphBuilder<T> {
     /// An empty builder.
     #[must_use]
     pub fn new() -> Self {
@@ -64,8 +74,8 @@ impl GraphBuilder {
         }
     }
 
-    /// Add a task with the given speedup model; returns its id.
-    pub fn add_task(&mut self, model: SpeedupModel) -> TaskId {
+    /// Add a task with the given payload (speedup model); returns its id.
+    pub fn add_task(&mut self, model: T) -> TaskId {
         let id = TaskId(u32::try_from(self.models.len()).expect("more than u32::MAX tasks"));
         self.models.push(model);
         self.preds.push(Vec::new());
@@ -189,13 +199,13 @@ impl GraphBuilder {
         self.n_edges
     }
 
-    /// The speedup model of task `t`.
+    /// The payload (speedup model) of task `t`.
     ///
     /// # Panics
     ///
     /// Panics if `t` is out of range.
     #[must_use]
-    pub fn model(&self, t: TaskId) -> &SpeedupModel {
+    pub fn model(&self, t: TaskId) -> &T {
         &self.models[t.index()]
     }
 
@@ -216,83 +226,21 @@ impl GraphBuilder {
         &self.succs[t.index()]
     }
 
-    /// Tasks with no predecessor, in id order — the legacy O(n) scan.
-    /// The frozen graph precomputes this list once;
-    /// `Frontier::initial` equality against this scan is pinned by the
-    /// graph crate's property tests.
-    #[must_use]
-    pub fn sources(&self) -> Vec<TaskId> {
-        self.task_ids()
-            .filter(|t| self.preds(*t).is_empty())
-            .collect()
-    }
-
-    /// The most general [`ModelClass`] containing every task's model
-    /// (`None` for an empty builder).
-    #[must_use]
-    pub fn model_class(&self) -> Option<ModelClass> {
-        self.models
-            .iter()
-            .map(SpeedupModel::class)
-            .reduce(ModelClass::join)
-    }
-
-    /// A topological order (Kahn's algorithm), same contract as
-    /// [`TaskGraph::topo_order`].
-    #[must_use]
-    pub fn topo_order(&self) -> Vec<TaskId> {
-        let n = self.n_tasks();
-        let mut indeg: Vec<u32> = (0..n).map(|i| self.preds[i].len() as u32).collect();
-        let mut order = Vec::with_capacity(n);
-        let mut queue: std::collections::VecDeque<TaskId> =
-            self.task_ids().filter(|t| indeg[t.index()] == 0).collect();
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            for &v in &self.succs[u.index()] {
-                indeg[v.index()] -= 1;
-                if indeg[v.index()] == 0 {
-                    queue.push_back(v);
-                }
-            }
-        }
-        debug_assert_eq!(order.len(), n, "graph is acyclic by construction");
-        order
-    }
-
-    /// Number of tasks on the longest path (`D` in Theorem 9); 0 for an
-    /// empty builder.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        let mut best = 0usize;
-        let mut len = vec![0usize; self.n_tasks()];
-        for t in self.topo_order() {
-            let l = 1 + self
-                .preds(t)
-                .iter()
-                .map(|p| len[p.index()])
-                .max()
-                .unwrap_or(0);
-            len[t.index()] = l;
-            best = best.max(l);
-        }
-        best
-    }
-
     /// Compact into the immutable CSR [`TaskGraph`].
     ///
     /// O(V + E), no hashing: per-task offsets are prefix sums of the
     /// adjacency lengths and the flat index arrays are filled by
     /// draining each per-task `Vec` in order, so edge-insertion order
     /// per task — the order the simulator reveals successors in — is
-    /// preserved exactly. Sources and the joined model class are
-    /// computed once here so the frozen graph serves them in O(1).
+    /// preserved exactly. Sources are computed once here so the frozen
+    /// graph serves them in O(1).
     ///
     /// # Panics
     ///
     /// Panics if the edge count exceeds `u32::MAX` (the CSR offsets are
     /// `u32`; such a graph could not be simulated anyway).
     #[must_use]
-    pub fn freeze(self) -> TaskGraph {
+    pub fn freeze(self) -> TaskGraph<T> {
         let n = self.models.len();
         assert!(
             u32::try_from(self.n_edges).is_ok(),
@@ -314,20 +262,7 @@ impl GraphBuilder {
                 sources.push(TaskId(i as u32));
             }
         }
-        let model_class = self
-            .models
-            .iter()
-            .map(SpeedupModel::class)
-            .reduce(ModelClass::join);
-        TaskGraph::from_csr(
-            self.models,
-            succ_off,
-            succ,
-            pred_off,
-            pred,
-            sources,
-            model_class,
-        )
+        TaskGraph::from_csr(self.models, succ_off, succ, pred_off, pred, sources)
     }
 }
 
@@ -389,7 +324,6 @@ mod tests {
         };
         let (a, b) = (build(true), build(false));
         assert_eq!(a.n_edges(), b.n_edges());
-        assert_eq!(a.depth(), b.depth());
         for t in a.task_ids() {
             assert_eq!(a.preds(t), b.preds(t));
             assert_eq!(a.succs(t), b.succs(t));
@@ -397,6 +331,7 @@ mod tests {
         let (fa, fb) = (a.freeze(), b.freeze());
         assert_eq!(fa.sources(), fb.sources());
         assert_eq!(fa.n_edges(), fb.n_edges());
+        assert_eq!(fa.depth(), fb.depth());
     }
 
     #[test]
@@ -418,30 +353,5 @@ mod tests {
         let b = g.add_task(unit());
         g.add_edge_topo(a, b);
         g.add_edge_topo(a, b);
-    }
-
-    #[test]
-    fn builder_read_api_matches_frozen_graph() {
-        let mut g = GraphBuilder::new();
-        let a = g.add_task(unit());
-        let b = g.add_task(unit());
-        let c = g.add_task(unit());
-        let d = g.add_task(unit());
-        g.add_edge(a, b).unwrap();
-        g.add_edge(a, c).unwrap();
-        g.add_edge(b, d).unwrap();
-        g.add_edge(c, d).unwrap();
-        assert_eq!(g.sources(), vec![a]);
-        assert_eq!(g.depth(), 3);
-        assert_eq!(g.model_class(), Some(ModelClass::Amdahl));
-        let f = g.clone().freeze();
-        assert_eq!(f.sources(), g.sources());
-        assert_eq!(f.depth(), g.depth());
-        assert_eq!(f.n_edges(), g.n_edges());
-        assert_eq!(f.model_class(), g.model_class());
-        for t in g.task_ids() {
-            assert_eq!(f.preds(t), g.preds(t));
-            assert_eq!(f.succs(t), g.succs(t));
-        }
     }
 }

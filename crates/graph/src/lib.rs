@@ -9,6 +9,12 @@
 //! task to the scheduler once all its predecessors completed, via
 //! [`Frontier`].
 //!
+//! The builder, the frozen graph and the frontier are generic over
+//! the per-task payload (`TaskGraph<T = SpeedupModel>`), so a platform
+//! whose tasks carry more than one model — the hybrid CPU+GPU crate's
+//! one model per pool — uses the same graph type, unchanged structure
+//! code and the same revelation.
+//!
 //! # Example
 //!
 //! ```

@@ -59,6 +59,12 @@ impl std::error::Error for GraphError {}
 
 /// An immutable directed acyclic graph of moldable tasks, in CSR form.
 ///
+/// Every task carries one payload `T`: by default the paper's
+/// [`SpeedupModel`], while the hybrid CPU+GPU platform stores one
+/// model per pool. The structure API is the same for every `T`; the
+/// analyses that read speedup models (bounds, stats, `.mtg` output,
+/// [`TaskGraph::model_class`]) live on `TaskGraph<SpeedupModel>`.
+///
 /// Built with [`crate::GraphBuilder`] and frozen once construction is
 /// complete; there is no mutation API. Layout (per direction):
 ///
@@ -72,32 +78,28 @@ impl std::error::Error for GraphError {}
 /// preserve the builder's edge-insertion order; the simulator reveals
 /// newly available tasks in that order, which matters for adversarial
 /// instances (the paper's worst cases assume a specific queue order).
-/// Sources and the joined model class are precomputed at freeze time
-/// and served in O(1).
-#[derive(Debug, Clone, Default)]
-pub struct TaskGraph {
-    models: Vec<SpeedupModel>,
+/// Sources are precomputed at freeze time and served in O(1).
+#[derive(Debug, Clone)]
+pub struct TaskGraph<T = SpeedupModel> {
+    models: Vec<T>,
     succ_off: Vec<u32>,
     succ: Vec<TaskId>,
     pred_off: Vec<u32>,
     pred: Vec<TaskId>,
     /// Tasks with no predecessor, in id order, computed at freeze time.
     sources: Vec<TaskId>,
-    /// Join of every task's model class, computed at freeze time.
-    model_class: Option<ModelClass>,
 }
 
-impl TaskGraph {
+impl<T> TaskGraph<T> {
     /// Assemble from already-validated CSR arrays; only
     /// [`crate::GraphBuilder::freeze`] calls this.
     pub(crate) fn from_csr(
-        models: Vec<SpeedupModel>,
+        models: Vec<T>,
         succ_off: Vec<u32>,
         succ: Vec<TaskId>,
         pred_off: Vec<u32>,
         pred: Vec<TaskId>,
         sources: Vec<TaskId>,
-        model_class: Option<ModelClass>,
     ) -> Self {
         debug_assert_eq!(succ_off.len(), models.len() + 1);
         debug_assert_eq!(pred_off.len(), models.len() + 1);
@@ -109,15 +111,7 @@ impl TaskGraph {
             pred_off,
             pred,
             sources,
-            model_class,
         }
-    }
-
-    /// An empty graph (no tasks, no edges). Equivalent to freezing an
-    /// empty [`crate::GraphBuilder`].
-    #[must_use]
-    pub fn empty() -> Self {
-        crate::GraphBuilder::new().freeze()
     }
 
     /// Number of tasks.
@@ -132,13 +126,13 @@ impl TaskGraph {
         self.succ.len()
     }
 
-    /// The speedup model of task `t`.
+    /// The payload (speedup model) of task `t`.
     ///
     /// # Panics
     ///
     /// Panics if `t` is out of range.
     #[must_use]
-    pub fn model(&self, t: TaskId) -> &SpeedupModel {
+    pub fn model(&self, t: TaskId) -> &T {
         &self.models[t.index()]
     }
 
@@ -221,13 +215,31 @@ impl TaskGraph {
         }
         best
     }
+}
+
+impl TaskGraph {
+    /// An empty graph (no tasks, no edges). Equivalent to freezing an
+    /// empty [`crate::GraphBuilder`].
+    #[must_use]
+    pub fn empty() -> Self {
+        crate::GraphBuilder::new().freeze()
+    }
 
     /// The most general [`ModelClass`] containing every task's model.
     /// Schedulers use this to pick μ. Returns `None` for an empty
-    /// graph. Precomputed at freeze time.
+    /// graph. One O(n) scan per call.
     #[must_use]
     pub fn model_class(&self) -> Option<ModelClass> {
-        self.model_class
+        self.models
+            .iter()
+            .map(SpeedupModel::class)
+            .reduce(ModelClass::join)
+    }
+}
+
+impl Default for TaskGraph {
+    fn default() -> Self {
+        Self::empty()
     }
 }
 
@@ -336,9 +348,8 @@ mod tests {
         }
         let f = b.clone().freeze();
         assert_eq!(f.n_edges(), b.n_edges());
-        assert_eq!(f.sources(), b.sources());
-        assert_eq!(f.model_class(), b.model_class());
-        assert_eq!(f.depth(), b.depth());
+        let sources: Vec<TaskId> = b.task_ids().filter(|t| b.preds(*t).is_empty()).collect();
+        assert_eq!(f.sources(), sources);
         for t in b.task_ids() {
             assert_eq!(f.preds(t), b.preds(t), "{t} preds");
             assert_eq!(f.succs(t), b.succs(t), "{t} succs");

@@ -163,6 +163,7 @@ fn frozen_generator_graphs_match_a_checked_rebuild() {
             }
         }
         assert_eq!(checked.n_edges(), g.n_edges(), "{shape}/{size}: edge count");
+        let checked = checked.freeze();
         assert_eq!(checked.depth(), g.depth(), "{shape}/{size}: depth");
         assert_eq!(
             checked.model_class(),

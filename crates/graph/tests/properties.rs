@@ -58,10 +58,10 @@ fn frontier_releases_everything_once() {
         // complete in "stack" order (depth-first-ish, different from
         // topo order) to exercise non-FIFO completion patterns
         while let Some(t) = available.pop() {
-            let newly = f.complete(&g, t);
+            let before = available.len();
+            f.complete_into(&g, t, &mut available);
             completed += 1;
-            released += newly.len();
-            available.extend(newly);
+            released += available.len() - before;
         }
         assert_eq!(completed, n);
         assert_eq!(released, n);

@@ -12,7 +12,7 @@
 //!   search on `T` with a greedy feasibility check (tasks sorted by
 //!   relative pool cost, at most one split fractionally).
 
-use crate::{HeteroGraph, HeteroPlatform, Pool};
+use crate::{HeteroGraph, HeteroPlatform};
 
 /// `max(fractional area bound, best-pool critical path)`.
 ///
@@ -22,25 +22,25 @@ use crate::{HeteroGraph, HeteroPlatform, Pool};
 #[must_use]
 pub fn hetero_lower_bound(graph: &HeteroGraph, platform: HeteroPlatform) -> f64 {
     assert!(platform.cpus >= 1 && platform.gpus >= 1);
-    let structure = graph.structure();
     let n = graph.n_tasks();
     if n == 0 {
         return 0.0;
     }
 
     // Critical path with best-pool t_min per task.
-    let t_best: Vec<f64> = structure
+    let t_best: Vec<f64> = graph
         .task_ids()
         .map(|t| {
-            let tc = graph.model(t, Pool::Cpu).t_min(platform.cpus);
-            let tg = graph.model(t, Pool::Gpu).t_min(platform.gpus);
+            let task = graph.model(t);
+            let tc = task.cpu.t_min(platform.cpus);
+            let tg = task.gpu.t_min(platform.gpus);
             tc.min(tg)
         })
         .collect();
     let mut dist = vec![0.0f64; n];
     let mut c_min = 0.0f64;
-    for t in structure.topo_order() {
-        let longest = structure
+    for t in graph.topo_order() {
+        let longest = graph
             .preds(t)
             .iter()
             .map(|p| dist[p.index()])
@@ -50,13 +50,13 @@ pub fn hetero_lower_bound(graph: &HeteroGraph, platform: HeteroPlatform) -> f64 
     }
 
     // Fractional area bound.
-    let a_c: Vec<f64> = structure
+    let a_c: Vec<f64> = graph
         .task_ids()
-        .map(|t| graph.model(t, Pool::Cpu).a_min())
+        .map(|t| graph.model(t).cpu.a_min())
         .collect();
-    let a_g: Vec<f64> = structure
+    let a_g: Vec<f64> = graph
         .task_ids()
-        .map(|t| graph.model(t, Pool::Gpu).a_min())
+        .map(|t| graph.model(t).gpu.a_min())
         .collect();
     let pc = f64::from(platform.cpus);
     let pg = f64::from(platform.gpus);
@@ -106,6 +106,7 @@ pub fn hetero_lower_bound(graph: &HeteroGraph, platform: HeteroPlatform) -> f64 
 mod tests {
     use super::*;
     use crate::HeteroTask;
+    use moldable_graph::GraphBuilder;
     use moldable_model::SpeedupModel;
 
     fn t(wc: f64, wg: f64) -> HeteroTask {
@@ -117,8 +118,9 @@ mod tests {
 
     #[test]
     fn single_task_bound_is_best_pool_t_min() {
-        let mut g = HeteroGraph::new();
+        let mut g = GraphBuilder::new();
         g.add_task(t(8.0, 40.0));
+        let g = g.freeze();
         let pf = HeteroPlatform { cpus: 4, gpus: 2 };
         // best pool: cpu, t_min = 8/4 = 2; area: all on cpu = 8/4 = 2.
         let lb = hetero_lower_bound(&g, pf);
@@ -129,10 +131,11 @@ mod tests {
     fn area_splits_across_pools() {
         // 8 identical tasks, each 4 work on either pool; Pc = 2, Pg = 2.
         // Best split: half the area each side: 4*4/2 = 8.
-        let mut g = HeteroGraph::new();
+        let mut g = GraphBuilder::new();
         for _ in 0..8 {
             g.add_task(t(4.0, 4.0));
         }
+        let g = g.freeze();
         let pf = HeteroPlatform { cpus: 2, gpus: 2 };
         let lb = hetero_lower_bound(&g, pf);
         assert!((lb - 8.0).abs() < 1e-6, "lb = {lb}");
@@ -142,10 +145,11 @@ mod tests {
     fn bound_respects_pool_affinity() {
         // CPU-only-cheap tasks: the fractional optimum puts only a
         // little on the expensive GPU.
-        let mut g = HeteroGraph::new();
+        let mut g = GraphBuilder::new();
         for _ in 0..4 {
             g.add_task(t(2.0, 200.0));
         }
+        let g = g.freeze();
         let pf = HeteroPlatform { cpus: 2, gpus: 2 };
         let lb = hetero_lower_bound(&g, pf);
         // all-on-cpu: 8/2 = 4; mixing in the gpu is worse than 4?
@@ -156,7 +160,7 @@ mod tests {
 
     #[test]
     fn critical_path_dominates_on_chains() {
-        let mut g = HeteroGraph::new();
+        let mut g = GraphBuilder::new();
         let mut prev = None;
         for _ in 0..5 {
             let id = g.add_task(HeteroTask {
@@ -168,6 +172,7 @@ mod tests {
             }
             prev = Some(id);
         }
+        let g = g.freeze();
         let pf = HeteroPlatform { cpus: 4, gpus: 4 };
         // per-task best t_min = min(4/4+1, 4/4+2) = 2; chain of 5 -> 10.
         let lb = hetero_lower_bound(&g, pf);
@@ -177,7 +182,7 @@ mod tests {
     #[test]
     fn every_simulated_schedule_respects_the_bound() {
         use crate::{simulate_hetero, HeteroEct, MuHetero};
-        let mut g = HeteroGraph::new();
+        let mut g = GraphBuilder::new();
         let mut prev = None;
         for i in 0..10 {
             let (wc, wg) = if i % 3 == 0 { (30.0, 5.0) } else { (5.0, 30.0) };
@@ -189,6 +194,7 @@ mod tests {
             }
             prev = Some(id);
         }
+        let g = g.freeze();
         let pf = HeteroPlatform { cpus: 3, gpus: 3 };
         let lb = hetero_lower_bound(&g, pf);
         for mk in [0usize, 1] {
@@ -207,7 +213,7 @@ mod tests {
 
     #[test]
     fn empty_graph_is_zero() {
-        let g = HeteroGraph::new();
+        let g: HeteroGraph = GraphBuilder::new().freeze();
         assert_eq!(
             hetero_lower_bound(&g, HeteroPlatform { cpus: 2, gpus: 2 }),
             0.0

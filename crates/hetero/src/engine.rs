@@ -1,14 +1,15 @@
 //! Simulation over two processor pools: [`HeteroPlatform`] is a
 //! [`Platform`] whose lanes are the pools, so a hybrid run is one
-//! [`Stepper`] run, with the same online revelation model (tasks
-//! appear when their predecessors finish) and event semantics as the
-//! homogeneous engine. A start decision is `(task, pool, allocation)`
-//! and capacity is tracked per pool.
+//! [`Stepper`] run over a [`GraphInstance`] of the frozen graph, with
+//! the same online revelation model (tasks appear when their
+//! predecessors finish) and event semantics as the homogeneous engine.
+//! The run reads each task's models in place; nothing is copied per
+//! run. A start decision is `(task, pool, allocation)` and capacity is
+//! tracked per pool.
 
 use moldable_graph::TaskId;
 use moldable_sim::{
-    GraphInstance, Instance, Placement, Platform, Schedule, Scheduler, SimError, Stepper,
-    ValidationError,
+    GraphInstance, Placement, Platform, Schedule, Scheduler, SimError, Stepper, ValidationError,
 };
 
 use crate::{HeteroGraph, HeteroPlatform, HeteroTask, Pool};
@@ -50,11 +51,14 @@ pub struct HeteroSchedule {
 
 impl HeteroSchedule {
     /// Validate: per-pool capacity, graph-wide precedence, completeness,
-    /// and model-consistent durations.
+    /// model-consistent durations, and an assignment that names the
+    /// pool each task was placed on.
     ///
     /// # Errors
     ///
-    /// Returns the first violation found.
+    /// Returns the first violation found. An assignment of the wrong
+    /// length, or one that disagrees with the pool schedule holding a
+    /// task, reports that task as [`ValidationError::MissingTask`].
     pub fn validate(
         &self,
         graph: &HeteroGraph,
@@ -65,6 +69,10 @@ impl HeteroSchedule {
         self.gpu.check_capacity(tol)?;
         // completeness + durations + precedence across pools
         let n = graph.n_tasks();
+        if self.assignment.len() != n {
+            let t = n.min(self.assignment.len());
+            return Err(ValidationError::MissingTask(TaskId(t as u32)));
+        }
         let mut place: Vec<Option<&Placement>> = vec![None; n];
         for (pool, sched) in [(Pool::Cpu, &self.cpu), (Pool::Gpu, &self.gpu)] {
             for pl in &sched.placements {
@@ -74,13 +82,16 @@ impl HeteroSchedule {
                 if place[pl.task.index()].is_some() {
                     return Err(ValidationError::DuplicateTask(pl.task));
                 }
+                if self.assignment[pl.task.index()] != pool {
+                    return Err(ValidationError::MissingTask(pl.task));
+                }
                 if pl.procs == 0 || pl.procs > platform.size(pool) {
                     return Err(ValidationError::BadAllocation {
                         task: pl.task,
                         procs: pl.procs,
                     });
                 }
-                let want = graph.model(pl.task, pool).time(pl.procs);
+                let want = graph.model(pl.task).model(pool).time(pl.procs);
                 if (pl.duration() - want).abs() > 1e-9 * want.max(1.0) {
                     return Err(ValidationError::WrongDuration {
                         task: pl.task,
@@ -91,11 +102,11 @@ impl HeteroSchedule {
                 place[pl.task.index()] = Some(pl);
             }
         }
-        for t in graph.structure().task_ids() {
+        for t in graph.task_ids() {
             let Some(pl) = place[t.index()] else {
                 return Err(ValidationError::MissingTask(t));
             };
-            for &p in graph.structure().preds(t) {
+            for &p in graph.preds(t) {
                 let pred = place[p.index()].expect("checked above");
                 if pl.start < pred.end - tol {
                     return Err(ValidationError::PrecedenceViolated { task: t, pred: p });
@@ -103,36 +114,6 @@ impl HeteroSchedule {
             }
         }
         Ok(())
-    }
-}
-
-/// A [`HeteroGraph`] as an [`Instance`] of the hybrid platform: the
-/// graph's structure drives revelation, and each task is handed out
-/// with both pool models.
-struct HeteroInstance<'a> {
-    graph: GraphInstance<'a>,
-    tasks: Vec<HeteroTask>,
-}
-
-impl Instance<HeteroPlatform> for HeteroInstance<'_> {
-    fn initial(&mut self) -> Vec<TaskId> {
-        self.graph.initial()
-    }
-
-    fn on_complete_into(&mut self, task: TaskId, time: f64, out: &mut Vec<TaskId>) {
-        self.graph.on_complete_into(task, time, out);
-    }
-
-    fn is_done(&self) -> bool {
-        self.graph.is_done()
-    }
-
-    fn model(&self, task: TaskId) -> &HeteroTask {
-        &self.tasks[task.index()]
-    }
-
-    fn size_hint(&self) -> usize {
-        self.tasks.len()
     }
 }
 
@@ -154,19 +135,8 @@ pub fn simulate_hetero(
         platform.cpus >= 1 && platform.gpus >= 1,
         "both pools must be non-empty"
     );
-    // Freeze a CSR snapshot for the frontier; O(V + E) once per run.
-    let structure = graph.structure().clone().freeze();
-    let instance = HeteroInstance {
-        graph: GraphInstance::new(&structure),
-        tasks: structure
-            .task_ids()
-            .map(|t| HeteroTask {
-                cpu: graph.model(t, Pool::Cpu).clone(),
-                gpu: graph.model(t, Pool::Gpu).clone(),
-            })
-            .collect(),
-    };
-    let run = Stepper::with_platform(instance, scheduler, platform).finish_lanes()?;
+    let run =
+        Stepper::with_platform(GraphInstance::new(graph), scheduler, platform).finish_lanes()?;
 
     let mut assignment = vec![Pool::Cpu; graph.n_tasks()];
     let (mut cpu, mut gpu) = (Vec::new(), Vec::new());
@@ -194,6 +164,7 @@ pub fn simulate_hetero(
 mod tests {
     use super::*;
     use crate::{CpuOnly, HeteroTask, MuHetero};
+    use moldable_graph::GraphBuilder;
     use moldable_model::SpeedupModel;
 
     fn platform() -> HeteroPlatform {
@@ -216,9 +187,10 @@ mod tests {
 
     #[test]
     fn affinity_drives_pool_choice() {
-        let mut g = HeteroGraph::new();
+        let mut g = GraphBuilder::new();
         let c = g.add_task(cpu_friendly());
         let u = g.add_task(gpu_friendly());
+        let g = g.freeze();
         let mut s = MuHetero::default_mu();
         let hs = simulate_hetero(&g, platform(), &mut s).unwrap();
         hs.validate(&g, platform()).unwrap();
@@ -233,10 +205,11 @@ mod tests {
 
     #[test]
     fn precedence_crosses_pools() {
-        let mut g = HeteroGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_task(cpu_friendly());
         let b = g.add_task(gpu_friendly());
         g.add_edge(a, b).unwrap();
+        let g = g.freeze();
         let mut s = MuHetero::default_mu();
         let hs = simulate_hetero(&g, platform(), &mut s).unwrap();
         hs.validate(&g, platform()).unwrap();
@@ -259,8 +232,9 @@ mod tests {
                 out.push((TaskId(0), Pool::Gpu, 99));
             }
         }
-        let mut g = HeteroGraph::new();
+        let mut g = GraphBuilder::new();
         g.add_task(cpu_friendly());
+        let g = g.freeze();
         let err = simulate_hetero(&g, platform(), &mut Bad).unwrap_err();
         // The GPU pool's own count (2) is reported, not the CPUs' 4.
         assert_eq!(
@@ -286,9 +260,10 @@ mod tests {
             ) {
             }
         }
-        let mut g = HeteroGraph::new();
+        let mut g = GraphBuilder::new();
         g.add_task(cpu_friendly());
         g.add_task(cpu_friendly());
+        let g = g.freeze();
         // A lazy scheduler starts nothing: the engine reports Stuck
         // (the heap is empty and the frontier is not done).
         let err = simulate_hetero(&g, platform(), &mut Lazy).unwrap_err();
@@ -300,11 +275,12 @@ mod tests {
         // One CPU: `b` is revealed when `a` ends, but `c`, queued
         // first, takes the CPU and `b` waits for it.
         let pf = HeteroPlatform { cpus: 1, gpus: 1 };
-        let mut g = HeteroGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_task(cpu_friendly());
         let c = g.add_task(cpu_friendly());
         let b = g.add_task(cpu_friendly());
         g.add_edge(a, b).unwrap();
+        let g = g.freeze();
         let hs = simulate_hetero(&g, pf, &mut CpuOnly::new()).unwrap();
         hs.validate(&g, pf).unwrap();
         let at = |t: TaskId| hs.cpu.placements.iter().find(|pl| pl.task == t).unwrap();
@@ -315,15 +291,41 @@ mod tests {
 
     #[test]
     fn validate_catches_cross_pool_duplicates() {
-        let mut g = HeteroGraph::new();
+        let mut g = GraphBuilder::new();
         let a = g.add_task(cpu_friendly());
+        let g = g.freeze();
         let mut s = MuHetero::default_mu();
         let mut hs = simulate_hetero(&g, platform(), &mut s).unwrap();
         // forge a duplicate of task a on the other pool
         let mut dup = hs.cpu.placements[0].clone();
-        dup.end = dup.start + g.model(a, Pool::Gpu).time(dup.procs);
+        dup.end = dup.start + g.model(a).gpu.time(dup.procs);
         hs.gpu.placements.push(dup);
         let err = hs.validate(&g, platform()).unwrap_err();
         assert_eq!(err, ValidationError::DuplicateTask(a));
+    }
+
+    #[test]
+    fn validate_catches_an_assignment_that_names_the_wrong_pool() {
+        let mut g = GraphBuilder::new();
+        g.add_task(cpu_friendly());
+        let b = g.add_task(gpu_friendly());
+        let g = g.freeze();
+        let hs = simulate_hetero(&g, platform(), &mut MuHetero::default_mu()).unwrap();
+        hs.validate(&g, platform()).unwrap();
+        assert_eq!(hs.assignment, [Pool::Cpu, Pool::Gpu]);
+        // `b` runs on the GPU schedule, but the assignment says CPU.
+        let mut forged = hs.clone();
+        forged.assignment[b.index()] = Pool::Cpu;
+        assert_eq!(
+            forged.validate(&g, platform()),
+            Err(ValidationError::MissingTask(b))
+        );
+        // An assignment with no entry for `b` is missing `b` too.
+        let mut short = hs;
+        short.assignment.truncate(1);
+        assert_eq!(
+            short.validate(&g, platform()),
+            Err(ValidationError::MissingTask(b))
+        );
     }
 }

@@ -1,10 +1,11 @@
 //! Hybrid platform and task-graph types.
 //!
-//! Structure (edges, topological order) is delegated to
-//! [`moldable_graph::TaskGraph`]; this module adds the second speedup
-//! model per task.
+//! A hybrid graph is a [`TaskGraph`] whose payload is a [`HeteroTask`]
+//! (one speedup model per pool): it is built with
+//! [`moldable_graph::GraphBuilder`] and frozen like any other graph,
+//! and its structure code is the homogeneous graph's.
 
-use moldable_graph::{GraphBuilder, GraphError, TaskId};
+use moldable_graph::TaskGraph;
 use moldable_model::SpeedupModel;
 
 /// A platform with two pools of identical processors.
@@ -74,66 +75,8 @@ impl HeteroTask {
     }
 }
 
-/// A DAG of hybrid moldable tasks.
-///
-/// Internally the CPU models live in a [`GraphBuilder`] (which also
-/// owns the structure) and the GPU models in a parallel vector. The
-/// hybrid simulation freezes a CSR snapshot per run; this type stays
-/// mutable so platforms can be assembled incrementally.
-#[derive(Debug, Clone, Default)]
-pub struct HeteroGraph {
-    structure: GraphBuilder,
-    gpu_models: Vec<SpeedupModel>,
-}
-
-impl HeteroGraph {
-    /// An empty graph.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a task; returns its id.
-    pub fn add_task(&mut self, task: HeteroTask) -> TaskId {
-        let id = self.structure.add_task(task.cpu);
-        self.gpu_models.push(task.gpu);
-        id
-    }
-
-    /// Add the precedence edge `from → to`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`GraphBuilder::add_edge`].
-    pub fn add_edge(&mut self, from: TaskId, to: TaskId) -> Result<(), GraphError> {
-        self.structure.add_edge(from, to)
-    }
-
-    /// Number of tasks.
-    #[must_use]
-    pub fn n_tasks(&self) -> usize {
-        self.structure.n_tasks()
-    }
-
-    /// Model of `t` on `pool`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is out of range.
-    #[must_use]
-    pub fn model(&self, t: TaskId, pool: Pool) -> &SpeedupModel {
-        match pool {
-            Pool::Cpu => self.structure.model(t),
-            Pool::Gpu => &self.gpu_models[t.index()],
-        }
-    }
-
-    /// The underlying structure (edges, topological order, sources).
-    #[must_use]
-    pub fn structure(&self) -> &GraphBuilder {
-        &self.structure
-    }
-}
+/// A DAG of hybrid moldable tasks: each node carries both pool models.
+pub type HeteroGraph = TaskGraph<HeteroTask>;
 
 #[cfg(test)]
 mod tests {
@@ -148,20 +91,11 @@ mod tests {
 
     #[test]
     fn models_are_pool_specific() {
-        let mut g = HeteroGraph::new();
+        let mut g = moldable_graph::GraphBuilder::new();
         let a = g.add_task(task());
-        assert_eq!(g.model(a, Pool::Cpu).time(1), 9.0);
-        assert!((g.model(a, Pool::Gpu).time(1) - 2.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn structure_is_shared() {
-        let mut g = HeteroGraph::new();
-        let a = g.add_task(task());
-        let b = g.add_task(task());
-        g.add_edge(a, b).unwrap();
-        assert_eq!(g.structure().succs(a), &[b]);
-        assert!(g.add_edge(b, a).is_err());
+        let g: HeteroGraph = g.freeze();
+        assert_eq!(g.model(a).model(Pool::Cpu).time(1), 9.0);
+        assert!((g.model(a).model(Pool::Gpu).time(1) - 2.1).abs() < 1e-12);
     }
 
     #[test]

@@ -11,9 +11,13 @@
 //! allocation — non-preemptively, with the same online revelation
 //! model as the homogeneous case.
 //!
+//! A hybrid graph is the homogeneous [`moldable_graph::TaskGraph`] with
+//! a [`HeteroTask`] (both pool models) per node, built with
+//! [`moldable_graph::GraphBuilder`] and frozen like any other graph.
 //! The hybrid platform is a two-lane [`moldable_sim::Platform`], so
 //! [`simulate_hetero`] is one run of the homogeneous engine's
-//! [`moldable_sim::Stepper`] and the schedulers implement
+//! [`moldable_sim::Stepper`] over a [`moldable_sim::GraphInstance`] of
+//! the graph, and the schedulers implement
 //! [`moldable_sim::Scheduler`]`<HeteroPlatform>`.
 //!
 //! No constant competitive ratio is claimed here (none is known for
@@ -36,13 +40,14 @@ pub use sched::{CpuOnly, GpuOnly, HeteroEct, MuHetero};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moldable_graph::GraphBuilder;
     use moldable_model::SpeedupModel;
 
     /// End-to-end smoke: everything exported works together.
     #[test]
     fn end_to_end_smoke() {
         let platform = HeteroPlatform { cpus: 8, gpus: 2 };
-        let mut g = HeteroGraph::new();
+        let mut g = GraphBuilder::new();
         // A CPU-friendly task and a GPU-friendly one, in a chain.
         let a = g.add_task(HeteroTask {
             cpu: SpeedupModel::amdahl(8.0, 0.5).unwrap(),
@@ -53,6 +58,7 @@ mod tests {
             gpu: SpeedupModel::amdahl(4.0, 0.1).unwrap(),
         });
         g.add_edge(a, b).unwrap();
+        let g = g.freeze();
 
         let mut sched = MuHetero::default_mu();
         let s = simulate_hetero(&g, platform, &mut sched).unwrap();

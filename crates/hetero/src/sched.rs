@@ -246,10 +246,11 @@ impl Scheduler<HeteroPlatform> for GpuOnly {
 mod tests {
     use super::*;
     use crate::{simulate_hetero, HeteroGraph};
+    use moldable_graph::GraphBuilder;
     use moldable_model::SpeedupModel;
 
     fn mixed_graph(n: usize) -> HeteroGraph {
-        let mut g = HeteroGraph::new();
+        let mut g = GraphBuilder::new();
         for i in 0..n {
             let (wc, wg) = if i % 2 == 0 { (4.0, 40.0) } else { (40.0, 4.0) };
             g.add_task(HeteroTask {
@@ -257,7 +258,7 @@ mod tests {
                 gpu: SpeedupModel::amdahl(wg, 0.2).unwrap(),
             });
         }
-        g
+        g.freeze()
     }
 
     #[test]

@@ -5,6 +5,7 @@
 
 #![cfg(feature = "slow-tests")]
 
+use moldable_graph::GraphBuilder;
 use moldable_hetero::{
     hetero_lower_bound, simulate_hetero, HeteroEct, HeteroGraph, HeteroPlatform, HeteroTask,
     MuHetero, Pool,
@@ -16,7 +17,7 @@ use moldable_model::ModelClass;
 fn random_hetero(seed: u64, n: usize, pf: HeteroPlatform) -> HeteroGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let dist = ParamDistribution::default();
-    let mut g = HeteroGraph::new();
+    let mut g = GraphBuilder::new();
     let mut ids = Vec::new();
     for _ in 0..n {
         let cpu = dist.sample(ModelClass::Amdahl, pf.cpus, &mut rng);
@@ -30,7 +31,7 @@ fn random_hetero(seed: u64, n: usize, pf: HeteroPlatform) -> HeteroGraph {
             }
         }
     }
-    g
+    g.freeze()
 }
 
 /// Both hybrid schedulers always produce feasible schedules that
@@ -82,18 +83,10 @@ fn fractional_bound_below_single_pool_area() {
         let pf = HeteroPlatform { cpus: 6, gpus: 3 };
         let g = random_hetero(seed, n, pf);
         let lb = hetero_lower_bound(&g, pf);
-        let area_cpu: f64 = g
-            .structure()
-            .task_ids()
-            .map(|t| g.model(t, Pool::Cpu).a_min())
-            .sum::<f64>()
-            / f64::from(pf.cpus);
-        let area_gpu: f64 = g
-            .structure()
-            .task_ids()
-            .map(|t| g.model(t, Pool::Gpu).a_min())
-            .sum::<f64>()
-            / f64::from(pf.gpus);
+        let area_cpu: f64 =
+            g.task_ids().map(|t| g.model(t).cpu.a_min()).sum::<f64>() / f64::from(pf.cpus);
+        let area_gpu: f64 =
+            g.task_ids().map(|t| g.model(t).gpu.a_min()).sum::<f64>() / f64::from(pf.gpus);
         // The path component can exceed single-pool *area*, so compare
         // only the area part: lb is max(path, frac-area); frac-area <=
         // min(all-cpu, all-gpu). Reconstruct: lb <= max(path, min areas).
@@ -101,13 +94,13 @@ fn fractional_bound_below_single_pool_area() {
             // per-task best tmin path
             let mut dist = vec![0.0f64; g.n_tasks()];
             let mut c = 0.0f64;
-            for t in g.structure().topo_order() {
+            for t in g.topo_order() {
                 let best = g
-                    .model(t, Pool::Cpu)
+                    .model(t)
+                    .cpu
                     .t_min(pf.cpus)
-                    .min(g.model(t, Pool::Gpu).t_min(pf.gpus));
+                    .min(g.model(t).gpu.t_min(pf.gpus));
                 let longest = g
-                    .structure()
                     .preds(t)
                     .iter()
                     .map(|p| dist[p.index()])

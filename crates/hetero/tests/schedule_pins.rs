@@ -9,6 +9,7 @@
 //! on the hybrid crate's former event loop and hold unchanged on the
 //! shared `Stepper`.
 
+use moldable_graph::GraphBuilder;
 use moldable_hetero::{
     simulate_hetero, CpuOnly, GpuOnly, HeteroEct, HeteroGraph, HeteroPlatform, HeteroSchedule,
     HeteroTask, MuHetero, Pool,
@@ -23,7 +24,7 @@ use moldable_sim::Scheduler;
 fn random_hetero(seed: u64, n: usize, pf: HeteroPlatform) -> HeteroGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let dist = ParamDistribution::default();
-    let mut g = HeteroGraph::new();
+    let mut g = GraphBuilder::new();
     let mut ids = Vec::new();
     for _ in 0..n {
         let cpu = dist.sample(ModelClass::Amdahl, pf.cpus, &mut rng);
@@ -37,7 +38,7 @@ fn random_hetero(seed: u64, n: usize, pf: HeteroPlatform) -> HeteroGraph {
             }
         }
     }
-    g
+    g.freeze()
 }
 
 /// `heads` identical sources, each with its own sampled successor: the
@@ -47,7 +48,7 @@ fn random_hetero(seed: u64, n: usize, pf: HeteroPlatform) -> HeteroGraph {
 fn tied_hetero(seed: u64, heads: usize, pf: HeteroPlatform) -> HeteroGraph {
     let mut rng = StdRng::seed_from_u64(seed);
     let dist = ParamDistribution::default();
-    let mut g = HeteroGraph::new();
+    let mut g = GraphBuilder::new();
     for _ in 0..heads {
         let head = g.add_task(HeteroTask {
             cpu: SpeedupModel::amdahl(8.0, 1.0).unwrap(),
@@ -58,7 +59,7 @@ fn tied_hetero(seed: u64, heads: usize, pf: HeteroPlatform) -> HeteroGraph {
         let next = g.add_task(HeteroTask { cpu, gpu });
         g.add_edge(head, next).unwrap();
     }
-    g
+    g.freeze()
 }
 
 /// FNV-1a-64 over each pool's placements (task, start/end bits,

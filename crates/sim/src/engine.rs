@@ -89,9 +89,10 @@ pub trait Scheduler<P: Platform = u32> {
 }
 
 /// A source of tasks for the engine. The static case is a
-/// [`TaskGraph`] (see [`GraphInstance`]); adaptive adversaries (the
-/// paper's Section 5) implement this directly and may decide the
-/// remaining structure *after* observing completions.
+/// [`TaskGraph`] whose payload is the platform's task type (see
+/// [`GraphInstance`], which serves every platform); adaptive
+/// adversaries (the paper's Section 5) implement this directly and may
+/// decide the remaining structure *after* observing completions.
 ///
 /// Release methods return bare [`TaskId`]s; the engine looks up the
 /// speedup function through [`Instance::model`] whenever it needs one.
@@ -189,16 +190,19 @@ impl<P: Platform, T: Instance<P> + ?Sized> Instance<P> for &mut T {
     }
 }
 
-/// Adapter: a static [`TaskGraph`] as an [`Instance`].
-pub struct GraphInstance<'a> {
-    graph: &'a TaskGraph,
+/// Adapter: a static [`TaskGraph`] as an [`Instance`] of every
+/// platform whose per-task model is the graph's payload: a
+/// `TaskGraph` runs on `u32`, a graph of hybrid tasks on the hybrid
+/// platform.
+pub struct GraphInstance<'a, T = SpeedupModel> {
+    graph: &'a TaskGraph<T>,
     frontier: Frontier,
 }
 
-impl<'a> GraphInstance<'a> {
+impl<'a, T> GraphInstance<'a, T> {
     /// Wrap a graph for simulation.
     #[must_use]
-    pub fn new(graph: &'a TaskGraph) -> Self {
+    pub fn new(graph: &'a TaskGraph<T>) -> Self {
         Self {
             graph,
             frontier: Frontier::new(graph),
@@ -206,7 +210,7 @@ impl<'a> GraphInstance<'a> {
     }
 }
 
-impl Instance for GraphInstance<'_> {
+impl<T, P: Platform<Task = T>> Instance<P> for GraphInstance<'_, T> {
     fn initial(&mut self) -> Vec<TaskId> {
         self.frontier.initial(self.graph)
     }
@@ -219,7 +223,7 @@ impl Instance for GraphInstance<'_> {
         self.frontier.all_done()
     }
 
-    fn model(&self, task: TaskId) -> &SpeedupModel {
+    fn model(&self, task: TaskId) -> &T {
         self.graph.model(task)
     }
 

@@ -538,7 +538,7 @@ impl<I, S, P: Platform> std::fmt::Debug for Stepper<I, S, P> {
 mod tests {
     use super::*;
     use crate::{simulate_instance, GraphInstance, TimedArrivals};
-    use moldable_graph::gen;
+    use moldable_graph::{gen, TaskGraph};
     use moldable_model::{ModelClass, SpeedupModel};
 
     fn unit(w: f64) -> SpeedupModel {
@@ -638,7 +638,7 @@ mod tests {
         let mut t = 0.0;
         while !(sliced.is_idle() && sliced.now() > 0.0) {
             sliced.advance_until(t, &mut seen).unwrap();
-            if sliced.is_idle() && sliced.instance().is_done() {
+            if sliced.is_idle() && Instance::<u32>::is_done(sliced.instance()) {
                 break;
             }
             t += 0.37; // deliberately lands between event times
@@ -808,29 +808,6 @@ mod tests {
         }
     }
 
-    /// Independent tasks, all released at time 0.
-    struct Independent {
-        models: Vec<SpeedupModel>,
-        done: usize,
-    }
-
-    impl Instance<TwoLanes> for Independent {
-        fn initial(&mut self) -> Vec<TaskId> {
-            (0..u32::try_from(self.models.len()).unwrap())
-                .map(TaskId)
-                .collect()
-        }
-        fn on_complete_into(&mut self, _task: TaskId, _time: f64, _out: &mut Vec<TaskId>) {
-            self.done += 1;
-        }
-        fn is_done(&self) -> bool {
-            self.done == self.models.len()
-        }
-        fn model(&self, task: TaskId) -> &SpeedupModel {
-            &self.models[task.index()]
-        }
-    }
-
     /// FIFO over a fixed `(lane, procs)` plan per task, starting each
     /// queued task whose lane has room; `blind` starts the head
     /// without looking.
@@ -864,26 +841,34 @@ mod tests {
         }
     }
 
+    /// Three independent tasks of work 2, 6 and 2, all released at
+    /// time 0.
+    fn independent() -> TaskGraph {
+        let mut g = moldable_graph::GraphBuilder::new();
+        for w in [2.0, 6.0, 2.0] {
+            g.add_task(unit(w));
+        }
+        g.freeze()
+    }
+
     fn two_lane_run(
+        graph: &TaskGraph,
         free: [u32; 2],
         plan: Vec<(usize, u32)>,
         blind: bool,
-    ) -> Stepper<Independent, LanePlan, TwoLanes> {
-        let instance = Independent {
-            models: vec![unit(2.0), unit(6.0), unit(2.0)],
-            done: 0,
-        };
+    ) -> Stepper<GraphInstance<'_>, LanePlan, TwoLanes> {
         let scheduler = LanePlan {
             plan,
             queue: Vec::new(),
             blind,
         };
-        Stepper::with_platform(instance, scheduler, TwoLanes(free))
+        Stepper::with_platform(GraphInstance::new(graph), scheduler, TwoLanes(free))
     }
 
     #[test]
     fn an_oversubscribed_lane_is_caught_while_the_other_has_room() {
-        let st = two_lane_run([1, 8], vec![(0, 2), (1, 1), (1, 1)], true);
+        let g = independent();
+        let st = two_lane_run(&g, [1, 8], vec![(0, 2), (1, 1), (1, 1)], true);
         let err = st.finish_lanes().unwrap_err();
         assert_eq!(
             err,
@@ -899,7 +884,8 @@ mod tests {
     fn completions_return_processors_to_their_own_lane() {
         // Tasks 0 and 2 both need all of lane 0; task 1 holds lane 1
         // until t = 3. Task 2 starts when task 0 gives lane 0 back.
-        let mut st = two_lane_run([2, 2], vec![(0, 2), (1, 2), (0, 2)], false);
+        let g = independent();
+        let mut st = two_lane_run(&g, [2, 2], vec![(0, 2), (1, 2), (0, 2)], false);
         st.advance_until(0.5, &mut Vec::new()).unwrap();
         assert_eq!(st.free(), TwoLanes([0, 0]));
         st.advance_until(1.5, &mut Vec::new()).unwrap();

@@ -6,8 +6,9 @@
 //! cargo run --release --example hybrid_platform
 //! ```
 
+use moldable::graph::GraphBuilder;
 use moldable::hetero::{
-    hetero_lower_bound, simulate_hetero, HeteroGraph, HeteroPlatform, HeteroTask, MuHetero, Pool,
+    hetero_lower_bound, simulate_hetero, HeteroPlatform, HeteroTask, MuHetero, Pool,
 };
 use moldable::model::SpeedupModel;
 
@@ -16,7 +17,7 @@ fn main() {
 
     // A small pipeline: preprocess (CPU-ish) -> 4x train (GPU-ish)
     // -> aggregate (CPU-ish).
-    let mut g = HeteroGraph::new();
+    let mut g = GraphBuilder::new();
     let pre = g.add_task(HeteroTask {
         cpu: SpeedupModel::amdahl(40.0, 2.0).unwrap(),
         gpu: SpeedupModel::amdahl(120.0, 10.0).unwrap(),
@@ -37,6 +38,7 @@ fn main() {
         g.add_edge(pre, t).unwrap();
         g.add_edge(t, agg).unwrap();
     }
+    let g = g.freeze();
 
     let mut sched = MuHetero::default_mu();
     let hs = simulate_hetero(&g, platform, &mut sched).unwrap();
@@ -46,7 +48,7 @@ fn main() {
         "hybrid schedule on {} CPUs + {} GPUs:",
         platform.cpus, platform.gpus
     );
-    for t in g.structure().task_ids() {
+    for t in g.task_ids() {
         let pool = hs.assignment[t.index()];
         let sched_side = match pool {
             Pool::Cpu => &hs.cpu,
