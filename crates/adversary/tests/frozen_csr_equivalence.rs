@@ -10,10 +10,11 @@
 //! the same instance through both paths and demand bit-identical
 //! schedules: same start times, same widths, same makespan.
 //!
-//! The legacy path is an [`Instance`] implemented directly over the
-//! un-frozen [`GraphBuilder`]'s nested adjacency, replicating the
-//! pre-CSR `Frontier` semantics exactly: sources by O(n) empty-preds
-//! scan in id order, revelation in per-task edge-insertion order.
+//! The legacy path is an [`Instance`] implemented directly over nested
+//! `Vec<Vec<TaskId>>` adjacency rebuilt from the frozen graph,
+//! replicating the pre-CSR `Frontier` semantics exactly: sources by
+//! O(n) empty-preds scan in id order, revelation in per-task
+//! edge-insertion order.
 
 use moldable_adversary::{amdahl, arbitrary, communication, general, generic, roofline};
 use moldable_core::OnlineScheduler;
@@ -23,38 +24,50 @@ use moldable_model::sample::ParamDistribution;
 use moldable_model::{ModelClass, SpeedupModel};
 use moldable_sim::{simulate, simulate_instance, Instance, Schedule, SimOptions};
 
-/// Reconstruct a mutable builder from a frozen graph through the
-/// *checked* `add_edge` API, in the frozen graph's per-task edge
-/// order. Freezing preserves insertion order, so the rebuilt builder
-/// is the legacy in-memory form of the same instance.
-fn thaw(g: &TaskGraph) -> GraphBuilder {
-    let mut b = GraphBuilder::with_capacity(g.n_tasks());
-    for t in g.task_ids() {
-        b.add_task(g.model(t).clone());
-    }
+/// The legacy in-memory form of a graph: one payload and two nested
+/// adjacency lists per task.
+struct Legacy {
+    models: Vec<SpeedupModel>,
+    preds: Vec<Vec<TaskId>>,
+    succs: Vec<Vec<TaskId>>,
+}
+
+/// Rebuild nested adjacency from a frozen graph, adding edges in the
+/// frozen graph's per-task successor order. Freezing preserves
+/// insertion order, so this is the legacy in-memory form of the same
+/// instance.
+fn thaw(g: &TaskGraph) -> Legacy {
+    let n = g.n_tasks();
+    let mut legacy = Legacy {
+        models: g.task_ids().map(|t| g.model(t).clone()).collect(),
+        preds: vec![Vec::new(); n],
+        succs: vec![Vec::new(); n],
+    };
     for t in g.task_ids() {
         for &s in g.succs(t) {
-            b.add_edge(t, s).expect("frozen graphs are acyclic");
+            legacy.succs[t.index()].push(s);
+            legacy.preds[s.index()].push(t);
         }
     }
-    b
+    legacy
 }
 
 /// The pre-refactor revelation semantics over nested adjacency.
 struct LegacyInstance<'a> {
-    builder: &'a GraphBuilder,
+    graph: &'a Legacy,
     remaining_preds: Vec<u32>,
     n_completed: usize,
 }
 
 impl<'a> LegacyInstance<'a> {
-    fn new(builder: &'a GraphBuilder) -> Self {
-        let remaining_preds = builder
-            .task_ids()
-            .map(|t| u32::try_from(builder.preds(t).len()).unwrap())
+    fn new(graph: &'a Legacy) -> Self {
+        let remaining_preds = graph
+            .preds
+            .iter()
+            .map(|p| u32::try_from(p.len()).unwrap())
             .collect();
         Self {
-            builder,
+            graph,
             remaining_preds,
             n_completed: 0,
         }
@@ -65,15 +78,15 @@ impl Instance for LegacyInstance<'_> {
     fn initial(&mut self) -> Vec<TaskId> {
         // The legacy source scan: every task with no predecessors, in
         // id order.
-        self.builder
-            .task_ids()
-            .filter(|&t| self.builder.preds(t).is_empty())
+        (0..self.graph.models.len() as u32)
+            .map(TaskId)
+            .filter(|t| self.graph.preds[t.index()].is_empty())
             .collect()
     }
 
     fn on_complete_into(&mut self, task: TaskId, _time: f64, newly: &mut Vec<TaskId>) {
         self.n_completed += 1;
-        for &s in self.builder.succs(task) {
+        for &s in &self.graph.succs[task.index()] {
             let r = &mut self.remaining_preds[s.index()];
             *r -= 1;
             if *r == 0 {
@@ -83,15 +96,15 @@ impl Instance for LegacyInstance<'_> {
     }
 
     fn is_done(&self) -> bool {
-        self.n_completed == self.builder.n_tasks()
+        self.n_completed == self.graph.models.len()
     }
 
     fn model(&self, task: TaskId) -> &SpeedupModel {
-        self.builder.model(task)
+        &self.graph.models[task.index()]
     }
 
     fn size_hint(&self) -> usize {
-        self.builder.n_tasks()
+        self.graph.models.len()
     }
 }
 
@@ -110,8 +123,8 @@ fn differential(g: &TaskGraph, p_total: u32, mu: f64, ctx: &str) {
     let a = simulate(g, &mut fast, &SimOptions::new(p_total)).unwrap();
     a.validate(g).unwrap();
 
-    let builder = thaw(g);
-    let mut legacy = LegacyInstance::new(&builder);
+    let nested = thaw(g);
+    let mut legacy = LegacyInstance::new(&nested);
     let mut slow = OnlineScheduler::with_mu(mu);
     let b = simulate_instance(&mut legacy, &mut slow, &SimOptions::new(p_total)).unwrap();
 
@@ -216,10 +229,22 @@ fn frozen_engine_matches_legacy_on_random_dags() {
 #[test]
 fn thaw_roundtrips_structure_exactly() {
     // The rebuild helper itself must be faithful, or the differential
-    // proves nothing: freeze(thaw(g)) reproduces g's CSR arrays.
+    // proves nothing: thaw(g)'s nested lists hold g's adjacency, and
+    // replaying them through the checked builder API reproduces g's
+    // CSR arrays.
     for (shape, size) in [("cholesky", 8u32), ("fft", 5), ("layered", 10)] {
         let g = gen::by_name(shape, size, ModelClass::Amdahl, 16, 3).unwrap();
-        let g2 = thaw(&g).freeze();
+        let nested = thaw(&g);
+        let mut b = GraphBuilder::with_capacity(g.n_tasks());
+        for m in &nested.models {
+            b.add_task(m.clone());
+        }
+        for t in g.task_ids() {
+            for &s in &nested.succs[t.index()] {
+                b.add_edge(t, s).expect("frozen graphs are acyclic");
+            }
+        }
+        let g2 = b.freeze();
         assert_eq!(g.n_tasks(), g2.n_tasks(), "{shape}");
         assert_eq!(g.n_edges(), g2.n_edges(), "{shape}");
         assert_eq!(g.sources(), g2.sources(), "{shape}");
@@ -229,12 +254,14 @@ fn thaw_roundtrips_structure_exactly() {
             // iterated in order), and the rebuild's global edge
             // sequence differs from the generator's, so preds compare
             // as sets.
+            assert_eq!(g.succs(t), nested.succs[t.index()], "{shape} {t}");
             assert_eq!(g.succs(t), g2.succs(t), "{shape} {t}");
             let mut p1 = g.preds(t).to_vec();
-            let mut p2 = g2.preds(t).to_vec();
+            let mut p2 = nested.preds[t.index()].clone();
             p1.sort_unstable_by_key(|t| t.0);
             p2.sort_unstable_by_key(|t| t.0);
             assert_eq!(p1, p2, "{shape} {t}");
+            assert_eq!(g2.preds(t), nested.preds[t.index()], "{shape} {t}");
         }
     }
 }

@@ -147,10 +147,9 @@ pub fn simulate_hetero(
             Pool::Gpu => gpu.push(pl),
         }
     }
-    let mk = |placements: Vec<Placement>, p_total: u32| Schedule {
-        p_total,
-        makespan: placements.iter().map(|p| p.end).fold(0.0, f64::max),
-        placements,
+    let mk = |placements: Vec<Placement>, p_total: u32| {
+        let makespan = placements.iter().map(|p| p.end).fold(0.0, f64::max);
+        Schedule::new(p_total, placements, makespan)
     };
     Ok(HeteroSchedule {
         cpu: mk(cpu, platform.cpus),
@@ -297,7 +296,7 @@ mod tests {
         let mut s = MuHetero::default_mu();
         let mut hs = simulate_hetero(&g, platform(), &mut s).unwrap();
         // forge a duplicate of task a on the other pool
-        let mut dup = hs.cpu.placements[0].clone();
+        let mut dup = hs.cpu.placements[0];
         dup.end = dup.start + g.model(a).gpu.time(dup.procs);
         hs.gpu.placements.push(dup);
         let err = hs.validate(&g, platform()).unwrap_err();

@@ -78,10 +78,7 @@ pub fn turek_schedule(graph: &TaskGraph, p_total: u32) -> TurekResult {
     let models: Vec<&SpeedupModel> = graph.task_ids().map(|t| graph.model(t)).collect();
     if models.is_empty() {
         return TurekResult {
-            schedule: Schedule {
-                p_total,
-                ..Default::default()
-            },
+            schedule: Schedule::new(p_total, Vec::new(), 0.0),
             tau: 0.0,
             allocations: Vec::new(),
         };

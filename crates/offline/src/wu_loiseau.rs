@@ -153,10 +153,7 @@ pub fn wu_loiseau_schedule(graph: &TaskGraph, p_total: u32) -> WuLoiseauResult {
     let models: Vec<&SpeedupModel> = graph.task_ids().map(|t| graph.model(t)).collect();
     if models.is_empty() {
         return WuLoiseauResult {
-            schedule: Schedule {
-                p_total,
-                ..Default::default()
-            },
+            schedule: Schedule::new(p_total, Vec::new(), 0.0),
             tau: 0.0,
             allocations: Vec::new(),
             tall: Vec::new(),

@@ -517,8 +517,8 @@ mod tests {
         let g = g.freeze();
         let opts = SimOptions::new(4).with_proc_ids();
         let s = simulate(&g, &mut Fifo::new(2), &opts).unwrap();
-        assert_eq!(s.placements[0].proc_ranges, vec![(0, 1)]);
-        assert_eq!(s.placements[1].proc_ranges, vec![(2, 3)]);
+        assert_eq!(s.proc_ranges(0), [(0, 1)]);
+        assert_eq!(s.proc_ranges(1), [(2, 3)]);
     }
 
     #[test]

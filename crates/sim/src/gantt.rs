@@ -10,8 +10,9 @@ use crate::Schedule;
 /// Render `schedule` as an ASCII Gantt chart with `width` time columns.
 ///
 /// Requires the schedule to carry concrete processor ids (simulate with
-/// [`crate::SimOptions::with_proc_ids`], or hand-build placements with
-/// `proc_ranges`). Placements without processor ids are skipped.
+/// [`crate::SimOptions::with_proc_ids`], or call
+/// [`Schedule::assign_proc_ids`]). Placements without processor ids
+/// are skipped.
 ///
 /// `label(task_index)` returns the single character drawn in that
 /// task's cells.
@@ -32,7 +33,7 @@ pub fn gantt_ascii(
     }
     let scale = width as f64 / schedule.makespan;
     let mut grid = vec![vec!['.'; width]; p];
-    for pl in &schedule.placements {
+    for (i, pl) in schedule.placements.iter().enumerate() {
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let c0 = ((pl.start * scale).floor() as usize).min(width - 1);
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -41,7 +42,7 @@ pub fn gantt_ascii(
             c1 = c0 + 1;
         }
         let ch = label(pl.task.index());
-        for &(lo, hi) in &pl.proc_ranges {
+        for &(lo, hi) in schedule.proc_ranges(i) {
             for row in lo..=hi {
                 for cell in &mut grid[row as usize][c0..c1] {
                     // First writer wins: keeps sub-pixel tasks visible
@@ -79,8 +80,9 @@ mod tests {
         sb.place(TaskId(0), 0.0, 1.0, 2);
         sb.place(TaskId(1), 1.0, 1.0, 4);
         let mut s = sb.build();
-        s.placements[0].proc_ranges = vec![(0, 1)];
-        s.placements[1].proc_ranges = vec![(0, 3)];
+        s.assign_proc_ids().unwrap();
+        assert_eq!(s.proc_ranges(0), [(0, 1)]);
+        assert_eq!(s.proc_ranges(1), [(0, 3)]);
         s
     }
 
@@ -111,8 +113,7 @@ mod tests {
         sb.place(TaskId(0), 0.0, 0.001, 1);
         sb.place(TaskId(1), 0.001, 10.0, 1);
         let mut s = sb.build();
-        s.placements[0].proc_ranges = vec![(0, 0)];
-        s.placements[1].proc_ranges = vec![(0, 0)];
+        s.assign_proc_ids().unwrap();
         let out = gantt_ascii(&s, 40, |i| if i == 0 { 'a' } else { 'b' });
         assert!(out.contains('a'), "sub-pixel task must still get one cell");
     }

@@ -2,8 +2,10 @@
 
 use moldable_graph::TaskId;
 
-/// One task's execution record.
-#[derive(Debug, Clone, PartialEq)]
+/// One task's execution record: a 32-byte `Copy` value, written once
+/// per task per run. Concrete processor ids, when recorded, live in
+/// the owning [`Schedule`]'s column ([`Schedule::proc_ranges`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Placement {
     /// The task.
     pub task: TaskId,
@@ -13,10 +15,6 @@ pub struct Placement {
     pub end: f64,
     /// Number of processors held for the whole `[start, end)` interval.
     pub procs: u32,
-    /// Concrete processor ids as disjoint `[lo, hi]` ranges, if the
-    /// simulation recorded them (used for Gantt rendering). Empty when
-    /// not recorded.
-    pub proc_ranges: Vec<(u32, u32)>,
     /// Time the task became available to the scheduler (its release).
     /// Hand-built schedules default this to `start`.
     pub released: f64,
@@ -61,9 +59,34 @@ pub struct Schedule {
     pub placements: Vec<Placement>,
     /// Overall completion time; 0 for an empty schedule.
     pub makespan: f64,
+    /// Per placement, its concrete processor ids as disjoint `[lo, hi]`
+    /// ranges; empty unless the run recorded them
+    /// ([`crate::SimOptions::with_proc_ids`]) or
+    /// [`Schedule::assign_proc_ids`] assigned them.
+    pub(crate) proc_ranges: Vec<Vec<(u32, u32)>>,
 }
 
 impl Schedule {
+    /// A schedule of `placements` on `p_total` processors, finishing at
+    /// `makespan`, without processor ids.
+    #[must_use]
+    pub fn new(p_total: u32, placements: Vec<Placement>, makespan: f64) -> Self {
+        Self {
+            p_total,
+            placements,
+            makespan,
+            proc_ranges: Vec::new(),
+        }
+    }
+
+    /// Concrete processor ids of `placements[i]` as disjoint `[lo, hi]`
+    /// ranges (used for Gantt, SVG and trace rendering); empty when the
+    /// schedule carries no processor ids.
+    #[must_use]
+    pub fn proc_ranges(&self, i: usize) -> &[(u32, u32)] {
+        self.proc_ranges.get(i).map_or(&[], Vec::as_slice)
+    }
+
     /// Placement of a given task, if present.
     #[must_use]
     pub fn placement(&self, task: TaskId) -> Option<&Placement> {
@@ -119,6 +142,7 @@ impl Schedule {
     /// schedule oversubscribes the platform.
     pub fn assign_proc_ids(&mut self) -> Result<(), crate::ValidationError> {
         let mut pool = crate::ProcPool::new(self.p_total);
+        let mut proc_ranges = vec![Vec::new(); self.placements.len()];
         // (time, is_start, placement index); ends sort before starts.
         let mut events: Vec<(f64, bool, usize)> = Vec::with_capacity(self.placements.len() * 2);
         for (i, pl) in self.placements.iter().enumerate() {
@@ -145,7 +169,7 @@ impl Schedule {
                 if is_start {
                     let procs = self.placements[idx].procs;
                     match pool.alloc(procs) {
-                        Some(ranges) => self.placements[idx].proc_ranges = ranges,
+                        Some(ranges) => proc_ranges[idx] = ranges,
                         None => {
                             return Err(crate::ValidationError::CapacityExceeded {
                                 time,
@@ -154,11 +178,12 @@ impl Schedule {
                         }
                     }
                 } else {
-                    pool.release(&self.placements[idx].proc_ranges);
+                    pool.release(&proc_ranges[idx]);
                 }
             }
             i = j;
         }
+        self.proc_ranges = proc_ranges;
         Ok(())
     }
 
@@ -202,7 +227,6 @@ impl ScheduleBuilder {
             start,
             end: start + duration,
             procs,
-            proc_ranges: Vec::new(),
             released: start,
         });
         self
@@ -214,17 +238,18 @@ impl ScheduleBuilder {
         self.placements
             .sort_by(|a, b| a.start.total_cmp(&b.start).then(a.task.cmp(&b.task)));
         let makespan = self.placements.iter().map(|p| p.end).fold(0.0, f64::max);
-        Schedule {
-            p_total: self.p_total,
-            placements: self.placements,
-            makespan,
-        }
+        Schedule::new(self.p_total, self.placements, makespan)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn placement_is_a_32_byte_record() {
+        assert_eq!(std::mem::size_of::<Placement>(), 32);
+    }
 
     #[test]
     fn builder_sorts_and_computes_makespan() {
@@ -265,9 +290,9 @@ mod tests {
         b.place(TaskId(2), 1.0, 1.0, 2); // reuses task 1's processors
         let mut s = b.build();
         s.assign_proc_ids().unwrap();
-        assert_eq!(s.placements[0].proc_ranges, vec![(0, 1)]);
-        assert_eq!(s.placements[1].proc_ranges, vec![(2, 3)]);
-        assert_eq!(s.placements[2].proc_ranges, vec![(2, 3)]);
+        assert_eq!(s.proc_ranges(0), [(0, 1)]);
+        assert_eq!(s.proc_ranges(1), [(2, 3)]);
+        assert_eq!(s.proc_ranges(2), [(2, 3)]);
     }
 
     #[test]

@@ -109,6 +109,8 @@ pub struct Stepper<I, S, P: Platform = u32> {
     free: P,
     pool: Option<ProcPool>,
     placements: Vec<Placement>,
+    /// Per placement: its processor ids, kept only when `pool` exists.
+    proc_ranges: Vec<Vec<(u32, u32)>>,
     /// Per placement: the lane it runs on.
     lanes: Vec<P::Lane>,
     /// One entry per completion run, not per placement.
@@ -147,13 +149,13 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
     /// # Errors
     ///
     /// As [`Stepper::finish_lanes`].
-    pub fn finish(self) -> Result<Schedule, SimError> {
-        let p_total = self.platform;
-        let run = self.finish_lanes()?;
+    pub fn finish(mut self) -> Result<Schedule, SimError> {
+        self.run_out()?;
         Ok(Schedule {
-            p_total,
-            placements: run.placements,
-            makespan: run.makespan,
+            p_total: self.platform,
+            placements: self.placements,
+            makespan: self.time,
+            proc_ranges: self.proc_ranges,
         })
     }
 }
@@ -174,6 +176,7 @@ impl<P: Platform, I: Instance<P>, S: Scheduler<P>> Stepper<I, S, P> {
             free: platform,
             pool: None,
             placements: Vec::with_capacity(hint),
+            proc_ranges: Vec::new(),
             lanes: Vec::with_capacity(hint),
             heap: BinaryHeap::new(),
             time: 0.0,
@@ -276,15 +279,22 @@ impl<P: Platform, I: Instance<P>, S: Scheduler<P>> Stepper<I, S, P> {
     /// [`SimError::InconsistentInstance`] if the instance is still
     /// unfinished at quiescence.
     pub fn finish_lanes(mut self) -> Result<LaneSchedule<P::Lane>, SimError> {
-        self.advance(f64::INFINITY, None)?;
-        if !self.instance.is_done() {
-            return Err(SimError::InconsistentInstance);
-        }
+        self.run_out()?;
         Ok(LaneSchedule {
             placements: self.placements,
             lanes: self.lanes,
             makespan: self.time,
         })
+    }
+
+    /// Run to quiescence and check that the instance finished.
+    fn run_out(&mut self) -> Result<(), SimError> {
+        self.advance(f64::INFINITY, None)?;
+        if self.instance.is_done() {
+            Ok(())
+        } else {
+            Err(SimError::InconsistentInstance)
+        }
     }
 
     /// [`Stepper::advance_until`] with the poisoning, and with the
@@ -318,6 +328,7 @@ impl<P: Platform, I: Instance<P>, S: Scheduler<P>> Stepper<I, S, P> {
             scheduler,
             pool,
             placements,
+            proc_ranges,
             lanes,
             heap,
             available,
@@ -405,10 +416,9 @@ impl<P: Platform, I: Instance<P>, S: Scheduler<P>> Stepper<I, S, P> {
                             }
                             *lane_free -= p;
                             let end = time + P::time(instance.model(t), lane, p);
-                            let proc_ranges = match pool {
-                                Some(pool) => pool.alloc(p).expect("pool tracks free count"),
-                                None => Vec::new(),
-                            };
+                            if let Some(pool) = pool {
+                                proc_ranges.push(pool.alloc(p).expect("pool tracks free count"));
+                            }
                             available[t.index()] = false;
                             match &mut open {
                                 Some(r) if r.time.to_bits() == end.to_bits() => r.len += 1,
@@ -428,7 +438,6 @@ impl<P: Platform, I: Instance<P>, S: Scheduler<P>> Stepper<I, S, P> {
                                 start: time,
                                 end,
                                 procs: p,
-                                proc_ranges,
                                 released: released_at[t.index()],
                             });
                         }
@@ -483,8 +492,10 @@ impl<P: Platform, I: Instance<P>, S: Scheduler<P>> Stepper<I, S, P> {
                 for r in batch.iter() {
                     for (pl, &lane) in placements[r.indices()].iter().zip(&lanes[r.indices()]) {
                         *free.free_mut(lane) += pl.procs;
-                        if let Some(pool) = pool.as_mut() {
-                            pool.release(&pl.proc_ranges);
+                    }
+                    if let Some(pool) = pool.as_mut() {
+                        for ranges in &proc_ranges[r.indices()] {
+                            pool.release(ranges);
                         }
                     }
                     completed += r.len as usize;
@@ -918,7 +929,7 @@ mod tests {
         let s = Stepper::new(GraphInstance::new(&g), Fifo::new(2), &opts)
             .finish()
             .unwrap();
-        assert_eq!(s.placements[0].proc_ranges, vec![(0, 1)]);
-        assert_eq!(s.placements[1].proc_ranges, vec![(0, 1)], "procs recycled");
+        assert_eq!(s.proc_ranges(0), [(0, 1)]);
+        assert_eq!(s.proc_ranges(1), [(0, 1)], "procs recycled");
     }
 }

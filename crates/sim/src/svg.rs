@@ -74,15 +74,16 @@ impl Schedule {
             );
         }
         // placements
-        for pl in &self.placements {
-            if pl.proc_ranges.is_empty() {
+        for (i, pl) in self.placements.iter().enumerate() {
+            let ranges = self.proc_ranges(i);
+            if ranges.is_empty() {
                 continue;
             }
             let x = LEFT + pl.start * scale;
             let w = (pl.duration() * scale).max(0.75);
             let fill = format!("hsl({:.1}, 65%, 62%)", hue(pl.task.index()));
             let name = xml_escape(&label(pl.task.index()));
-            for &(lo, hi) in &pl.proc_ranges {
+            for &(lo, hi) in ranges {
                 // row `lo` draws at the bottom, like the paper's figures
                 let y_top = TOP + f64::from(self.p_total - 1 - hi) * ROW_H;
                 let rect_h = f64::from(hi - lo + 1) * ROW_H;

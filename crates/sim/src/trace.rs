@@ -31,10 +31,11 @@ impl Schedule {
             let ts = pl.start * 1e6;
             let dur = pl.duration() * 1e6;
             let mut lanes: Vec<u32> = Vec::new();
-            if pl.proc_ranges.is_empty() {
+            let ranges = self.proc_ranges(i);
+            if ranges.is_empty() {
                 lanes.push(u32::try_from(i % 1_000_000).expect("bounded"));
             } else {
-                for &(lo, hi) in &pl.proc_ranges {
+                for &(lo, hi) in ranges {
                     lanes.extend(lo..=hi);
                 }
             }
@@ -67,7 +68,7 @@ mod tests {
         let mut sb = ScheduleBuilder::new(4);
         sb.place(TaskId(0), 0.0, 1.0, 2);
         let mut s = sb.build();
-        s.placements[0].proc_ranges = vec![(0, 1)];
+        s.assign_proc_ids().unwrap();
         let json = s.to_chrome_trace(|i| format!("task{i}"));
         assert_eq!(json.matches("\"ph\": \"X\"").count(), 2); // 2 lanes
         assert!(json.contains("\"tid\": 0"));

@@ -37,13 +37,13 @@ fn fingerprint(s: &Schedule) -> u64 {
             h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
         }
     };
-    for pl in &s.placements {
+    for (i, pl) in s.placements.iter().enumerate() {
         eat(&pl.task.0.to_le_bytes());
         eat(&pl.start.to_bits().to_le_bytes());
         eat(&pl.end.to_bits().to_le_bytes());
         eat(&pl.released.to_bits().to_le_bytes());
         eat(&pl.procs.to_le_bytes());
-        for &(lo, hi) in &pl.proc_ranges {
+        for &(lo, hi) in s.proc_ranges(i) {
             eat(&lo.to_le_bytes());
             eat(&hi.to_le_bytes());
         }
@@ -60,10 +60,16 @@ fn assert_pinned(s: &Schedule, pin: u64, ctx: &str) {
         let rows: Vec<String> = s
             .placements
             .iter()
-            .map(|pl| {
+            .enumerate()
+            .map(|(i, pl)| {
                 format!(
                     "  {} start={:?} end={:?} released={:?} procs={} ranges={:?}",
-                    pl.task, pl.start, pl.end, pl.released, pl.procs, pl.proc_ranges
+                    pl.task,
+                    pl.start,
+                    pl.end,
+                    pl.released,
+                    pl.procs,
+                    s.proc_ranges(i)
                 )
             })
             .collect();

@@ -86,8 +86,8 @@ fn engine_output_is_always_feasible() {
         s.validate(&g).unwrap();
         s.assign_proc_ids().unwrap();
         // every placement got exactly `procs` processor ids
-        for pl in &s.placements {
-            let total: u32 = pl.proc_ranges.iter().map(|(lo, hi)| hi - lo + 1).sum();
+        for (i, pl) in s.placements.iter().enumerate() {
+            let total: u32 = s.proc_ranges(i).iter().map(|(lo, hi)| hi - lo + 1).sum();
             assert_eq!(total, pl.procs);
         }
         let prof = interval_profile(&s, 0.3);
@@ -112,10 +112,10 @@ fn recorded_proc_ids_match_capacity() {
         let opts = SimOptions::new(8).with_proc_ids();
         let s = simulate(&g, &mut sched, &opts).unwrap();
         s.validate(&g).unwrap();
-        for pl in &s.placements {
-            let total: u32 = pl.proc_ranges.iter().map(|(lo, hi)| hi - lo + 1).sum();
+        for (i, pl) in s.placements.iter().enumerate() {
+            let total: u32 = s.proc_ranges(i).iter().map(|(lo, hi)| hi - lo + 1).sum();
             assert_eq!(total, pl.procs);
-            for &(lo, hi) in &pl.proc_ranges {
+            for &(lo, hi) in s.proc_ranges(i) {
                 assert!(lo <= hi && hi < 8);
             }
         }
