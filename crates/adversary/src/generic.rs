@@ -49,27 +49,25 @@ impl GenericInstance {
         let mut b_tasks = Vec::with_capacity(y);
 
         // Layer 1: B tasks first so sources() (id order) releases them
-        // ahead of A_1.
+        // ahead of A_1. Every edge leaves an A task for tasks created
+        // after it, so the trusted path is sound.
         let mut prev_a: Option<TaskId> = None;
-        for layer in 0..y {
+        for _ in 0..y {
             let bs: Vec<TaskId> = (0..x).map(|_| graph.add_task(model_b.clone())).collect();
             let a = graph.add_task(model_a.clone());
             if let Some(pa) = prev_a {
                 // B edges before the A edge: revelation order B, ..., B, A.
                 for &b in &bs {
-                    graph.add_edge(pa, b).expect("layer edges are acyclic");
+                    graph.add_edge_topo(pa, b);
                 }
-                graph.add_edge(pa, a).expect("chain edges are acyclic");
+                graph.add_edge_topo(pa, a);
             }
-            let _ = layer;
             b_tasks.push(bs);
             a_tasks.push(a);
             prev_a = Some(a);
         }
         let c_task = graph.add_task(model_c);
-        graph
-            .add_edge(*a_tasks.last().expect("y >= 1"), c_task)
-            .expect("final edge is acyclic");
+        graph.add_edge_topo(*a_tasks.last().expect("y >= 1"), c_task);
 
         Self {
             graph: graph.freeze(),
