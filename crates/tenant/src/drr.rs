@@ -38,10 +38,13 @@
 //! finds the next slot in cyclic order whose head fits the free
 //! processors. A decision point therefore touches only the slots that
 //! can start something; when no head fits, it returns after one read
-//! of the tree's root. Replenishing stays one pass over every slot:
-//! each non-empty queue's deficit takes a rounded add-and-cap with
-//! that instant's quantum, and folding those additions across instants
-//! would change the deficits' bits, not only the decisions.
+//! of the tree's root. Replenishing visits every non-empty queue (its
+//! deficit takes a rounded add-and-cap with that instant's quantum;
+//! folding those additions across instants would change the deficits'
+//! bits, not only the decisions) and every queue emptied since the
+//! last replenish. A queue already empty then holds `d.min(0.0)`, a
+//! fixed point of the empty-queue step, so skipping it leaves every
+//! deficit bit-identical while drained sessions cost nothing.
 
 use std::collections::VecDeque;
 
@@ -160,6 +163,10 @@ pub struct DrrScheduler {
     queues: Vec<VecDeque<Ready>>,
     /// Per-slot deficit, in processor units.
     deficits: Vec<f64>,
+    /// Slots the next replenish visits: those non-empty at the last
+    /// one and those filled since, each once (`pending_mark`).
+    pending: Vec<usize>,
+    pending_mark: Vec<bool>,
     /// Min-tree whose leaves are the per-slot head allocations.
     fronts: MinTree,
     /// Slots with a non-empty queue.
@@ -186,6 +193,8 @@ impl DrrScheduler {
             task_algo: Vec::new(),
             queues: Vec::new(),
             deficits: Vec::new(),
+            pending: Vec::new(),
+            pending_mark: Vec::new(),
             fronts: MinTree::new(),
             active: 0,
             cursor: 0,
@@ -203,6 +212,7 @@ impl DrrScheduler {
         if slot >= self.queues.len() {
             self.queues.resize_with(slot + 1, VecDeque::new);
             self.deficits.resize(slot + 1, 0.0);
+            self.pending_mark.resize(slot + 1, false);
             self.fronts.grow(slot + 1);
         }
         let slot = u32::try_from(slot).expect("slot ids fit u32");
@@ -228,8 +238,9 @@ impl DrrScheduler {
         self.started
     }
 
-    /// Slot states read by `select_into` so far: one per slot per
-    /// replenish pass, and one per slot a DRR or work-conserving pass
+    /// Slot states read by `select_into` so far: one per slot a
+    /// replenish visits (non-empty, or emptied since the previous
+    /// replenish), and one per slot a DRR or work-conserving pass
     /// stops at. Min-tree nodes are not counted. A pure function of the
     /// register, release and select sequence, so tests can pin it.
     #[must_use]
@@ -334,6 +345,10 @@ impl Scheduler for DrrScheduler {
         if queue.len() == 1 {
             self.active += 1;
             self.fronts.set(slot, procs);
+            if !self.pending_mark[slot] {
+                self.pending_mark[slot] = true;
+                self.pending.push(slot);
+            }
         }
     }
 
@@ -348,16 +363,23 @@ impl Scheduler for DrrScheduler {
             // sessions that currently hold ready work.
             let quantum = f64::from(self.p_total) / self.active.max(1) as f64;
             let cap = BURST_QUANTA * quantum;
-            for (deficit, &head) in self.deficits.iter_mut().zip(self.fronts.leaves()) {
-                *deficit = if head == EMPTY {
+            let heads = self.fronts.leaves();
+            for &slot in &self.pending {
+                let deficit = &mut self.deficits[slot];
+                *deficit = if heads[slot] == EMPTY {
                     // An idle session banks no credit (classic DRR);
                     // debts from work-conserving starts do persist.
+                    self.pending_mark[slot] = false;
                     deficit.min(0.0)
                 } else {
                     (*deficit + quantum).min(cap)
                 };
             }
-            self.slot_visits += n as u64;
+            self.slot_visits += self.pending.len() as u64;
+            // Non-empty slots stay pending; emptied ones now hold a
+            // fixed point of the empty-queue step.
+            let mark = &self.pending_mark;
+            self.pending.retain(|&slot| mark[slot]);
         }
         if self.fronts.min() > free {
             return;
