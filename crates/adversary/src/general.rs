@@ -7,8 +7,9 @@
 
 use moldable_analysis::lemma5_ratio;
 use moldable_model::{ModelClass, SpeedupModel};
+use moldable_sim::Schedule;
 
-use crate::amdahl::{build_instance, Params};
+use crate::amdahl::{build_instance, build_params, build_proof_schedule, Params};
 use crate::LowerBoundInstance;
 
 fn make_model(p_total: u32) -> impl Fn(f64, f64) -> SpeedupModel {
@@ -29,7 +30,8 @@ pub fn instance(k: u32) -> LowerBoundInstance {
     build_instance(k, mu, make_model(k * k)).0
 }
 
-/// Theorem 8's parameters for side length `k`.
+/// Theorem 8's parameters for side length `k`, computed without
+/// building the instance.
 ///
 /// # Panics
 ///
@@ -37,7 +39,18 @@ pub fn instance(k: u32) -> LowerBoundInstance {
 #[must_use]
 pub fn params(k: u32) -> Params {
     let mu = ModelClass::General.optimal_mu();
-    build_instance(k, mu, make_model(k * k)).1
+    build_params(k, mu, make_model(k * k))
+}
+
+/// The proof's offline schedule of [`instance`]`(k)`, built on request.
+///
+/// # Panics
+///
+/// Panics if `k <= 3`.
+#[must_use]
+pub fn proof_schedule(k: u32) -> Schedule {
+    let mu = ModelClass::General.optimal_mu();
+    build_proof_schedule(k, mu, make_model(k * k))
 }
 
 /// The asymptotic bound of Theorem 8: `δ/((δ−1)(1−μ)) + δ > 5.25`.
@@ -77,11 +90,9 @@ mod tests {
     fn proof_schedule_is_valid() {
         for k in [6u32, 15, 30] {
             let inst = instance(k);
-            inst.proof_schedule
-                .as_ref()
-                .unwrap()
-                .validate(&inst.graph)
-                .unwrap();
+            let proof = proof_schedule(k);
+            proof.validate(&inst.graph).unwrap();
+            assert_eq!(proof.makespan.to_bits(), inst.t_opt_upper.to_bits());
             assert!(inst.t_opt_upper < f64::from(k) + 4.0);
         }
     }

@@ -117,6 +117,38 @@ impl GenericInstance {
     }
 }
 
+/// Task ids of the Figure 1 graph with `x` B tasks per layer and `y`
+/// layers, without the graph: [`GenericInstance::build`] adds each
+/// layer's B tasks, then its A task, layer by layer, and C last.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Layout {
+    /// B tasks per layer.
+    pub x: usize,
+    /// Number of layers.
+    pub y: usize,
+}
+
+impl Layout {
+    /// `A_{i+1}`, the chain task of layer `i` (0-based).
+    pub fn a(&self, i: usize) -> TaskId {
+        Self::id(i * (self.x + 1) + self.x)
+    }
+
+    /// The `n`-th B task in id order (layer `n / x`, position `n % x`).
+    pub fn b(&self, n: usize) -> TaskId {
+        Self::id(n / self.x * (self.x + 1) + n % self.x)
+    }
+
+    /// The final task `C`.
+    pub fn c(&self) -> TaskId {
+        Self::id((self.x + 1) * self.y)
+    }
+
+    fn id(index: usize) -> TaskId {
+        TaskId(u32::try_from(index).expect("task ids fit in u32"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,6 +207,21 @@ mod tests {
                     assert_eq!(inst.graph.preds(b), &[inst.a_tasks[i - 1]]);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn layout_names_the_built_handles() {
+        for (x, y) in [(1, 1), (1, 4), (3, 2), (5, 7)] {
+            let inst = GenericInstance::build(x, y, &unit(), &unit(), unit());
+            let ids = Layout { x, y };
+            for (i, &a) in inst.a_tasks.iter().enumerate() {
+                assert_eq!(ids.a(i), a);
+            }
+            for (n, &b) in inst.b_tasks.iter().flatten().enumerate() {
+                assert_eq!(ids.b(n), b);
+            }
+            assert_eq!(ids.c(), inst.c_task);
         }
     }
 

@@ -47,7 +47,7 @@ fn main() {
     println!("{g_online}");
 
     // (b) the proof's alternative schedule
-    let mut proof = inst.proof_schedule.clone().expect("proof schedule");
+    let mut proof = communication::proof_schedule(p_total);
     proof
         .assign_proc_ids()
         .expect("proof schedule fits the platform");
