@@ -60,12 +60,20 @@ struct GraphKey {
     p: u32,
 }
 
+/// A generated graph with its Lemma 2 lower bound on the key's `p`,
+/// which is a pure function of the two and so is cached with it.
+#[derive(Debug, Clone)]
+struct CachedGraph {
+    graph: Arc<TaskGraph>,
+    lower_bound: f64,
+}
+
 /// A tiny move-to-front LRU of frozen graphs. Capacity is small (tens
 /// of entries) and entries are fat (`Arc<TaskGraph>`), so a `Vec` scan
 /// beats a linked-hash-map both in code size and constant factor.
 #[derive(Debug, Default)]
 struct GraphCache {
-    entries: Vec<(GraphKey, Arc<TaskGraph>)>,
+    entries: Vec<(GraphKey, CachedGraph)>,
     cap: usize,
     hits: u64,
     misses: u64,
@@ -83,7 +91,7 @@ impl GraphCache {
 
     /// Look up `key`, counting a hit (and moving the entry to the
     /// front) or a miss. Disabled caches (`cap == 0`) always miss.
-    fn get(&mut self, key: &GraphKey) -> Option<Arc<TaskGraph>> {
+    fn get(&mut self, key: &GraphKey) -> Option<CachedGraph> {
         if self.cap == 0 {
             self.misses += 1;
             return None;
@@ -91,9 +99,9 @@ impl GraphCache {
         if let Some(i) = self.entries.iter().position(|(k, _)| k == key) {
             self.hits += 1;
             let entry = self.entries.remove(i);
-            let graph = Arc::clone(&entry.1);
+            let cached = entry.1.clone();
             self.entries.insert(0, entry);
-            Some(graph)
+            Some(cached)
         } else {
             self.misses += 1;
             None
@@ -102,11 +110,11 @@ impl GraphCache {
 
     /// Insert a freshly built graph at the front, evicting the
     /// least-recently-used entry when full. No-op when disabled.
-    fn put(&mut self, key: GraphKey, graph: &Arc<TaskGraph>) {
+    fn put(&mut self, key: GraphKey, cached: &CachedGraph) {
         if self.cap == 0 {
             return;
         }
-        self.entries.insert(0, (key, Arc::clone(graph)));
+        self.entries.insert(0, (key, cached.clone()));
         self.entries.truncate(self.cap);
     }
 }
@@ -214,7 +222,7 @@ impl WorkerContext {
     }
 
     fn try_handle(&mut self, req: &SubmitRequest) -> Result<Json, String> {
-        let (graph, p) = self.build_graph(req)?;
+        let (graph, p, cached_lb) = self.build_graph(req)?;
         let class = parse_model_class(&req.model)?;
         let class = match &req.graph {
             // Inline workflows carry their own models; their class (if
@@ -227,8 +235,7 @@ impl WorkerContext {
             .validate(&graph)
             .map_err(|e| format!("produced invalid schedule: {e}"))?;
 
-        let b = graph.bounds(p);
-        let lb = b.lower_bound();
+        let lb = cached_lb.unwrap_or_else(|| graph.bounds(p).lower_bound());
         #[allow(clippy::cast_precision_loss)]
         let mut members = vec![
             ("status", Json::Str("ok".into())),
@@ -252,7 +259,12 @@ impl WorkerContext {
         Ok(obj(members))
     }
 
-    fn build_graph(&mut self, req: &SubmitRequest) -> Result<(Arc<TaskGraph>, u32), String> {
+    /// The request's graph and platform size, plus, for a generated
+    /// graph, its lower bound on that platform (kept in the graph cache).
+    fn build_graph(
+        &mut self,
+        req: &SubmitRequest,
+    ) -> Result<(Arc<TaskGraph>, u32, Option<f64>), String> {
         let limits = self.limits;
         // Validate `p` before any generator runs (the samplers assert
         // on `p = 0`; the service must reply, not panic).
@@ -261,10 +273,10 @@ impl WorkerContext {
                 return Err(format!("`p` = {p} outside [1, {}]", limits.max_p));
             }
         }
-        let (graph, hint) = match &req.graph {
+        let (graph, hint, lower_bound) = match &req.graph {
             GraphSpec::Inline(mtg) => {
                 let (g, hint) = parse_workflow(mtg).map_err(|e| format!("bad mtg: {e}"))?;
-                (Arc::new(g), hint)
+                (Arc::new(g), hint, None)
             }
             GraphSpec::Named { shape, size } => {
                 if *size > limits.max_shape_size {
@@ -293,15 +305,19 @@ impl WorkerContext {
                     class,
                     p,
                 };
-                let g = match self.graphs.get(&key) {
-                    Some(g) => g,
+                let cached = match self.graphs.get(&key) {
+                    Some(cached) => cached,
                     None => {
-                        let g = Arc::new(gen::by_name(shape, *size, class, p, req.seed)?);
-                        self.graphs.put(key, &g);
-                        g
+                        let graph = gen::by_name(shape, *size, class, p, req.seed)?;
+                        let cached = CachedGraph {
+                            lower_bound: graph.bounds(p).lower_bound(),
+                            graph: Arc::new(graph),
+                        };
+                        self.graphs.put(key, &cached);
+                        cached
                     }
                 };
-                (g, Some(p))
+                (cached.graph, Some(p), Some(cached.lower_bound))
             }
             GraphSpec::TraceDot(text) | GraphSpec::TraceJson(text) => {
                 let class = parse_model_class(&req.model)?;
@@ -311,7 +327,7 @@ impl WorkerContext {
                     _ => TraceFormat::Json,
                 };
                 let g = build_trace_graph(text, format, class, p, req.seed, &limits)?;
-                (Arc::new(g), Some(p))
+                (Arc::new(g), Some(p), None)
             }
         };
         if graph.n_tasks() > limits.max_tasks {
@@ -326,7 +342,7 @@ impl WorkerContext {
             Some(p) => return Err(format!("`p` = {p} outside [1, {}]", limits.max_p)),
             None => return Err("no `p` given and the workflow has no `p` hint".to_string()),
         };
-        Ok((graph, p))
+        Ok((graph, p, lower_bound))
     }
 
     fn run_scheduler(
@@ -545,6 +561,27 @@ mod tests {
         req.model = "roofline".into(); // class
         let _ = ctx.handle(&req);
         assert_eq!((ctx.graph_cache_hits(), ctx.graph_cache_misses()), (1, 6));
+    }
+
+    #[test]
+    fn cached_lower_bound_matches_a_fresh_one() {
+        let mut ctx = WorkerContext::new();
+        let mut off = WorkerContext::with_limits(ServiceLimits {
+            graph_cache_cap: 0,
+            ..ServiceLimits::default()
+        });
+        for (shape, size, p) in [("cholesky", 6, 64), ("layered", 8, 24), ("fft", 4, 7)] {
+            let req = named(shape, size, p, 5);
+            let miss = ctx.handle(&req);
+            let hit = ctx.handle(&req);
+            let uncached = off.handle(&req);
+            assert_eq!(hit.encode(), miss.encode());
+            assert_eq!(hit.encode(), uncached.encode());
+            let g = gen::by_name(shape, size, ModelClass::Amdahl, p, 5).unwrap();
+            let lb = hit.get("lower_bound").and_then(Json::as_f64).unwrap();
+            assert_eq!(lb.to_bits(), g.bounds(p).lower_bound().to_bits());
+        }
+        assert_eq!(ctx.graph_cache_hits(), 3);
     }
 
     #[test]
