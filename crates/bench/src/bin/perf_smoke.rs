@@ -27,9 +27,13 @@
 //! * `thm9_adaptive_l4` — the Theorem 9 adaptive chain adversary at
 //!   ℓ = 4 (P = 524 288, instance revealed task by task);
 //! * `wide_50k_indexed_queue` — 50 000 independent tasks on P = 64, a
-//!   deep-ready-queue stress run (tens of thousands of waiting tasks;
-//!   their FIFO keys only append, so the queue stays in its inline
-//!   tier);
+//!   deep-ready-queue stress run (tens of thousands of waiting tasks,
+//!   hundreds or more per allocation bucket, every FIFO key an append);
+//! * `wide_p4096_layered_100k` — a 40 × 2500 layered General-class
+//!   DAG (100 000 tasks) on P = 4096: 189 distinct capped
+//!   allocations and short queues, the regime where a decision point
+//!   usually starts every waiting task and a first-fit search reads
+//!   the most bucket heads;
 //! * `serve_direct_500`, `serve_service_{cached,uncached}_500` — the
 //!   same 500 scheduling requests (cholesky size 6, P = 64, 16 seeds)
 //!   executed as bare generate+simulate and through the service layer
@@ -221,7 +225,7 @@ fn thm9_adaptive() -> Measurement {
 
 /// 50 000 independent tasks on P = 64: the ready queue holds tens of
 /// thousands of waiting tasks, the regime where the indexed queue's
-/// O(log n) operations separate from a sorted scan's O(n).
+/// per-allocation buckets separate from a sorted scan's O(n).
 fn wide_50k() -> Measurement {
     let p_total = 64;
     let t0 = Instant::now();
@@ -243,6 +247,21 @@ fn wide_50k() -> Measurement {
         sim_secs,
         makespan: s.makespan,
     }
+}
+
+/// 100 000 General-class tasks on a wide platform (P = 4096): many
+/// distinct capped allocations, short queues.
+fn wide_layered_p4096() -> Measurement {
+    let p_total = 4096;
+    let t0 = Instant::now();
+    let dist = ParamDistribution::default();
+    let mut mrng = StdRng::seed_from_u64(77);
+    let mut assign = gen::weighted_sampler(ModelClass::General, dist, p_total, &mut mrng);
+    let mut srng = StdRng::seed_from_u64(78);
+    let g = gen::layered_random_sparse(40, 2500, 0.002, &mut srng, &mut assign);
+    let build_secs = t0.elapsed().as_secs_f64();
+    let sched = OnlineScheduler::for_class(ModelClass::General);
+    online_run("wide_p4096_layered_100k", &g, build_secs, p_total, sched).0
 }
 
 /// Frozen-CSR construction: rebuild the largest generator instance CI
@@ -617,6 +636,7 @@ fn main() {
         validate_thm6,
         thm9_adaptive(),
         wide_50k(),
+        wide_layered_p4096(),
         graph_build(false),
         graph_build(true),
         serve_direct(),

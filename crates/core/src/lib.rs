@@ -63,5 +63,5 @@ pub use backfill::EasyBackfillScheduler;
 pub use memo::AllocCache;
 pub use online::OnlineScheduler;
 pub use policy::QueuePolicy;
-pub use ready_queue::{IndexedQueue, ReadyItem, SPILL_THRESHOLD};
+pub use ready_queue::{IndexedQueue, ReadyItem};
 pub use registry::{AlgoName, ALGOS};

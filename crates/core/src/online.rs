@@ -1,4 +1,8 @@
 //! Algorithm 1: the online list-scheduling algorithm.
+//!
+//! Released tasks wait in an allocation-bucketed
+//! [`IndexedQueue`](crate::ready_queue::IndexedQueue); each decision
+//! point starts every waiting task that fits, in policy-key order.
 
 use std::collections::HashMap;
 
@@ -22,13 +26,13 @@ use crate::{Allocation, QueuePolicy};
 /// classic list scheduling, which never idles `⌈μP⌉` processors while
 /// a task is waiting (the fact Lemma 4 rests on).
 ///
-/// The queue is an [`IndexedQueue`] (a sorted buffer under a block-min
-/// tree, spilling into a treap tracking the minimum allocation per
-/// subtree when a deep queue takes an out-of-order key): a FIFO release is an append and a decision point reads
-/// only the blocks or subtrees that hold a fit, instead of O(n) for
-/// both with the original sorted `Vec`. FNV schedule pins in
-/// `tests/queue_equivalence.rs`, recorded while that sorted `Vec`
-/// still ran beside it, hold it to the original's schedules.
+/// The queue is an [`IndexedQueue`], which keeps one key-ordered
+/// bucket per distinct capped allocation and a sorted list of the
+/// non-empty ones: a FIFO release appends to its bucket, and a
+/// decision point reads one head per distinct allocation that fits
+/// instead of every waiting task. FNV schedule pins in
+/// `tests/queue_equivalence.rs`, recorded while the original sorted
+/// `Vec` still ran beside it, hold it to the original's schedules.
 ///
 /// The simulation engine calls [`Scheduler::release`] once per task,
 /// so the scheduler, not the event loop, owns the fast path. Releasing
@@ -157,7 +161,7 @@ impl OnlineScheduler {
         self.queue.len()
     }
 
-    /// Queue entries the ready queue has read at decision points over
+    /// Bucket heads the ready queue has read in first-fit searches over
     /// this scheduler's lifetime ([`IndexedQueue::scan_steps`]).
     /// Deterministic, so tests pin it.
     #[must_use]
@@ -425,8 +429,8 @@ mod tests {
         // like the repository benchmark's first sim_layered graph but
         // 20 layers deep. The previous inline tier, one compacting pass
         // over every waiting item per decision point, read 4 355 988
-        // queue entries on it; the block-min index reads only the
-        // blocks that hold a fit.
+        // queue entries on it; the allocation buckets read one head
+        // per distinct fitting allocation per started task.
         const PREVIOUS: u64 = 4_355_988;
         let p = 256;
         let mut mrng = moldable_model::rng::StdRng::seed_from_u64(8 ^ 0x5EED_0000_0000);
@@ -438,7 +442,7 @@ mod tests {
         let mut s = OnlineScheduler::for_class(ModelClass::General);
         let _ = simulate(&g, &mut s, &SimOptions::new(p)).unwrap();
         let steps = s.queue_scan_steps();
-        assert_eq!(steps, 490_139);
+        assert_eq!(steps, 89_967);
         assert!(steps * 4 <= PREVIOUS);
     }
 

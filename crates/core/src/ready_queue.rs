@@ -1,37 +1,39 @@
-//! Indexed ready queue for Algorithm 1.
+//! Allocation-bucketed ready queue for Algorithm 1.
 //!
 //! The scheduler's waiting queue must support two operations at every
 //! decision point: insert a released task in policy-key order, and
-//! start *every* waiting task whose allocation fits in the free
+//! start *every* waiting task whose capped allocation fits in the free
 //! processors, scanning in key order (list scheduling, Algorithm 1
-//! lines 7–11). A sorted `Vec` makes both O(n) — O(n²) over a run.
+//! lines 7–11). The first fit for `free` processors is the waiting
+//! task with the smallest key among those whose allocation is at most
+//! `free`, so [`IndexedQueue`] indexes the waiting set by allocation,
+//! not by queue position:
 //!
-//! [`IndexedQueue`] replaces it with a two-tier structure:
-//!
-//! * The inline tier is a sorted buffer indexed by a **block-min
-//!   tree**: an implicit min-segment tree over 16-item blocks of the
-//!   buffer. A decision point descends it, skipping every subtree
-//!   whose smallest allocation exceeds the free count, so it reads
-//!   O(log(n/16)) tree nodes plus the 16 items of each block it starts
-//!   a task from, instead of every waiting item. Started items stay in
-//!   place as tombstones (no memmove) until they outnumber the live
-//!   ones, and a FIFO release is an O(1) append whose block is indexed
-//!   lazily at the next decision point. A key past the last one
-//!   appends at any depth, so an append-only (FIFO) queue stays here
-//!   however deep it grows. At the queue depths real DAG workloads
-//!   produce (a few hundred waiting tasks), this contiguous layout
-//!   beats any pointer structure's cache behaviour.
-//! * A key that sorts *earlier* than the last one costs a memmove, so
-//!   one arriving while the queue holds [`SPILL_THRESHOLD`] tasks or
-//!   more spills the buffer into a treap (randomized BST) over the
-//!   policy key, augmented with the **minimum allocation
-//!   in each subtree**. Insertion is O(log n); finding the first task
-//!   in key order with `alloc ≤ free` is a single root-to-leaf descent
-//!   guided by the subtree minima, so a decision point that starts `k`
-//!   tasks costs O((k+1) log n) instead of O(n). When the queue drains
-//!   back below a quarter of the threshold, the treap's in-order
-//!   contents move back into the buffer (already sorted), restoring
-//!   the fast path; the 4× hysteresis bounds transition thrash.
+//! * One **bucket** per distinct capped allocation holds that
+//!   allocation's tasks in key order. Under FIFO and the two
+//!   allocation-ordered policies the keys within a bucket only grow,
+//!   so a release appends to the bucket's sorted run in O(1). A key
+//!   that sorts before the run's last one (the two duration policies)
+//!   goes into the bucket's pairing heap instead: O(1) insert and
+//!   amortized O(log n) removal, however deep the bucket grows. A
+//!   bucket's head is the smaller of its run's first item and its
+//!   heap's root. Run and heap nodes of every bucket share one arena
+//!   whose freed slots are reused, so the queue allocates only when
+//!   its peak depth grows.
+//! * A **live list** of the non-empty buckets, sorted by allocation,
+//!   caches each bucket's head key. A first-fit search reads the heads
+//!   of the live prefix whose allocation fits `free` and takes the
+//!   smallest key, so its cost follows the number of distinct waiting
+//!   allocations (at most `⌈μP⌉`), not the number of waiting tasks.
+//!   The search also notes the runner-up key, and keeps starting tasks
+//!   from the winning bucket while its next head sorts before it.
+//!   When the smallest live allocation exceeds `free`, a decision
+//!   point ends after one comparison. When the waiting allocations
+//!   sum to at most `free`, every waiting task starts: one pass
+//!   gathers them and sorts them by key, and the bucket order is never
+//!   consulted, so buckets that a release makes non-empty join the
+//!   live list unsorted and are sorted in only when a search needs
+//!   them.
 //!
 //! Repeatedly popping the first fit until none remains is equivalent
 //! to one in-order scan that starts every fitting task, because `free`
@@ -42,91 +44,106 @@
 //! module's tests, the operation-by-operation oracle the unit tests
 //! drive the indexed queue against; the online scheduler's schedules
 //! are pinned by FNV fingerprints in `tests/queue_equivalence.rs`.
-//!
-//! Treap priorities come from the in-tree SplitMix64 stream seeded per
-//! queue, so the tree shape — though never the *observable* queue
-//! behaviour — is deterministic across runs and platforms.
 
 use moldable_graph::TaskId;
-use moldable_model::rng::splitmix64_next;
 
 /// One waiting task: identity, capped allocation and policy sort key.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReadyItem {
     /// The waiting task.
     pub task: TaskId,
-    /// Capped allocation `p'_j` from Algorithm 2. `u32::MAX` is
-    /// reserved: [`IndexedQueue`] marks started items with it, and a
-    /// capped allocation `⌈μP⌉` never reaches it.
+    /// Capped allocation `p'_j` from Algorithm 2.
     pub alloc: u32,
     /// Policy sort key (primary, release-sequence tiebreak) — unique
     /// per item because the sequence number is.
     pub key: (f64, u64),
 }
 
-fn key_lt(a: (f64, u64), b: (f64, u64)) -> bool {
-    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
+/// A policy key as one integer that orders like the key: the primary
+/// in `f64::total_cmp` order, then the sequence number.
+fn ord_key((primary, seq): (f64, u64)) -> u128 {
+    let bits = primary.to_bits();
+    let flip = if bits >> 63 == 1 { u64::MAX } else { 1 << 63 };
+    (u128::from(bits ^ flip) << 64) | u128::from(seq)
 }
 
+fn key_lt(a: (f64, u64), b: (f64, u64)) -> bool {
+    ord_key(a) < ord_key(b)
+}
+
+/// Null arena index.
 const NIL: u32 = u32::MAX;
 
-/// Queue length from which an out-of-order key moves [`IndexedQueue`]
-/// from its inline sorted buffer into the treap. Below this, a
-/// mid-buffer insert's memmove is cheap; above it, the treap's O(log n)
-/// insert wins. Appends never spill.
-pub const SPILL_THRESHOLD: usize = 1024;
-
-/// Items per leaf of the inline tier's block-min tree.
-const BLOCK: usize = 16;
-
-/// Allocation written over a started inline item, which stays in place
-/// as a tombstone until compaction. Searches cap `free` below it, so a
-/// tombstone never fits.
-const TOMB: u32 = u32::MAX;
-
+/// An arena slot: a waiting task and its links.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     item: ReadyItem,
-    /// Heap priority (min at the root), drawn from SplitMix64.
-    prio: u64,
-    /// Minimum `alloc` in this node's subtree (the augmentation).
-    min_alloc: u32,
-    left: u32,
-    right: u32,
+    /// In a run, the next item in key order; in a heap, the next
+    /// sibling; in a free slot, the next free slot.
+    next: u32,
+    /// In a heap, the first child. Always `NIL` in a run.
+    child: u32,
 }
 
-/// Indexed ready queue: block-min-indexed sorted buffer for short or
-/// append-only queues, treap with subtree-minimum allocation tracking
-/// for out-of-order keys past [`SPILL_THRESHOLD`]. Amortized O(log n)
-/// insert and first-fit pop.
+/// The waiting tasks of one allocation.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    /// First and last node of the sorted run (`NIL` when empty).
+    first: u32,
+    last: u32,
+    /// Root of the pairing heap of keys that arrived out of order.
+    heap: u32,
+}
+
+const EMPTY: Bucket = Bucket {
+    first: NIL,
+    last: NIL,
+    heap: NIL,
+};
+
+/// A non-empty bucket in the live list.
+#[derive(Debug, Clone, Copy)]
+struct Live {
+    alloc: u32,
+    /// Index into [`IndexedQueue::buckets`].
+    bucket: u32,
+    /// Arena slot of the bucket's head item.
+    head: u32,
+    /// The head item's [`ord_key`], kept here so a search reads only
+    /// this list.
+    key: u128,
+}
+
+/// Ready queue indexed by capped allocation: one key-ordered bucket
+/// per allocation and a list of the non-empty ones. O(1) FIFO release,
+/// amortized O(log n) out-of-order release, and a first-fit search
+/// that reads one head per distinct fitting allocation.
+///
+/// Memory grows with the largest allocation pushed (4 bytes per
+/// processor count up to it, zero-filled on allocation), with the
+/// number of distinct allocations and with the peak number of waiting
+/// tasks.
 #[derive(Debug)]
 pub struct IndexedQueue {
-    /// Inline tier: sorted by key, holds *all* items iff `root == NIL`.
-    /// Started items stay in place as tombstones (`alloc == TOMB`)
-    /// until they outnumber the live ones.
-    small: Vec<ReadyItem>,
-    /// Block-min tree over `small`: an implicit binary tree with
-    /// `mins.len() / 2` leaves (a power of two). Leaf `b` holds the
-    /// smallest live allocation among items `16b .. 16b + 16`, each
-    /// inner node `i` the smaller of nodes `2i` and `2i + 1`, so
-    /// `mins[1]` is the inline minimum. Unused leaves hold `TOMB`.
-    mins: Vec<u32>,
-    /// First `small` index written since `mins` was last refreshed. A
-    /// FIFO push appends at or past it and leaves it alone, a
-    /// mid-buffer insert lowers it, and a reshuffle of `small` resets
-    /// it to 0, which makes the next refresh a rebuild.
-    stale_from: usize,
-    /// Sum of the live inline allocations: a drain whose `free` covers
-    /// it starts the whole buffer, so it skips the tree.
-    live_sum: u64,
-    /// Migration point (constructor-tunable for tests).
-    spill_at: usize,
+    /// Node arena shared by every bucket.
     nodes: Vec<Node>,
-    /// Recycled arena slots.
-    spare: Vec<u32>,
-    root: u32,
+    /// First free arena slot, `NIL` if none.
+    free_slot: u32,
+    /// Bucket index + 1 of allocation `a` at index `a` (0: none yet).
+    ids: Vec<u32>,
+    /// One bucket per distinct allocation pushed so far.
+    buckets: Vec<Bucket>,
+    /// The non-empty buckets: `live[..sorted]` in allocation order,
+    /// then the ones releases made non-empty since the last search.
+    live: Vec<Live>,
+    sorted: usize,
+    /// The largest [`ord_key`] pushed so far: a key past it (every
+    /// FIFO key) is past every run's last key too.
+    newest: u128,
+    /// Sum of the waiting allocations: a decision point whose `free`
+    /// covers it starts every waiting task.
+    alloc_sum: u64,
     len: usize,
-    prio_state: u64,
     /// See [`IndexedQueue::scan_steps`].
     scan_steps: u64,
 }
@@ -141,343 +158,312 @@ impl IndexedQueue {
     /// An empty queue.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_spill_threshold(SPILL_THRESHOLD)
-    }
-
-    /// An empty queue that spills to the treap when a key sorting
-    /// before the last one arrives while it holds `spill_at` items or
-    /// more. [`Self::new`] uses [`SPILL_THRESHOLD`].
-    #[must_use]
-    pub fn with_spill_threshold(spill_at: usize) -> Self {
         Self {
-            small: Vec::new(),
-            mins: Vec::new(),
-            stale_from: 0,
-            live_sum: 0,
-            spill_at: spill_at.max(1),
             nodes: Vec::new(),
-            spare: Vec::new(),
-            root: NIL,
+            free_slot: NIL,
+            ids: Vec::new(),
+            buckets: Vec::new(),
+            live: Vec::new(),
+            sorted: 0,
+            newest: 0,
+            alloc_sum: 0,
             len: 0,
-            // Any fixed seed works: priorities only shape the tree.
-            prio_state: 0x9D2C_5680_0B5A_3CF5,
             scan_steps: 0,
         }
     }
 
-    /// Inline-tier queue entries read so far by first-fit searches:
-    /// items scanned in a drain, re-read to refresh the block-min tree,
-    /// or passed over by a compaction. The treap tier, which only holds
-    /// queues that took an out-of-order key at [`SPILL_THRESHOLD`] items
-    /// or more, is not counted. A pure
-    /// function of the push and pop sequence, so tests can pin it.
+    /// Bucket heads read by first-fit searches so far: each search for
+    /// the next task to start reads the head of every live bucket whose
+    /// allocation fits, each further task it starts from the winning
+    /// bucket reads that bucket's next head, and a decision point at
+    /// which every waiting task fits reads each live bucket once. A
+    /// pure function of the push and pop sequence, so tests can pin it.
     #[must_use]
     pub fn scan_steps(&self) -> u64 {
         self.scan_steps
     }
 
-    /// Is the inline tier active (treap empty)?
-    fn inline_mode(&self) -> bool {
-        self.root == NIL
+    fn key(&self, slot: u32) -> (f64, u64) {
+        self.nodes[slot as usize].item.key
     }
 
-    fn node(&self, i: u32) -> &Node {
-        &self.nodes[i as usize]
-    }
-
-    fn node_mut(&mut self, i: u32) -> &mut Node {
-        &mut self.nodes[i as usize]
-    }
-
-    /// Recompute `min_alloc` of `i` from its children.
-    fn pull(&mut self, i: u32) {
-        let n = self.node(i);
-        let mut m = n.item.alloc;
-        let (l, r) = (n.left, n.right);
-        if l != NIL {
-            m = m.min(self.node(l).min_alloc);
-        }
-        if r != NIL {
-            m = m.min(self.node(r).min_alloc);
-        }
-        self.node_mut(i).min_alloc = m;
-    }
-
+    /// Store `item` in a fresh or recycled arena slot.
     fn alloc_node(&mut self, item: ReadyItem) -> u32 {
-        let prio = splitmix64_next(&mut self.prio_state);
         let node = Node {
             item,
-            prio,
-            min_alloc: item.alloc,
-            left: NIL,
-            right: NIL,
+            next: NIL,
+            child: NIL,
         };
-        if let Some(i) = self.spare.pop() {
-            *self.node_mut(i) = node;
-            i
-        } else {
+        if self.free_slot == NIL {
             self.nodes.push(node);
             u32::try_from(self.nodes.len() - 1).expect("queue exceeds u32 capacity")
-        }
-    }
-
-    /// Insert arena node `new` into the subtree rooted at `at`,
-    /// returning the new subtree root.
-    fn insert_at(&mut self, at: u32, new: u32) -> u32 {
-        if at == NIL {
-            return new;
-        }
-        let mut at = at;
-        if key_lt(self.node(new).item.key, self.node(at).item.key) {
-            let l = self.insert_at(self.node(at).left, new);
-            self.node_mut(at).left = l;
-            if self.node(l).prio < self.node(at).prio {
-                at = self.rotate_right(at);
-            }
         } else {
-            let r = self.insert_at(self.node(at).right, new);
-            self.node_mut(at).right = r;
-            if self.node(r).prio < self.node(at).prio {
-                at = self.rotate_left(at);
-            }
+            let slot = self.free_slot;
+            self.free_slot = self.nodes[slot as usize].next;
+            self.nodes[slot as usize] = node;
+            slot
         }
-        self.pull(at);
-        at
     }
 
-    /// Right rotation: left child becomes the subtree root.
-    fn rotate_right(&mut self, y: u32) -> u32 {
-        let x = self.node(y).left;
-        self.node_mut(y).left = self.node(x).right;
-        self.node_mut(x).right = y;
-        self.pull(y);
-        self.pull(x);
-        x
-    }
-
-    /// Left rotation: right child becomes the subtree root.
-    fn rotate_left(&mut self, x: u32) -> u32 {
-        let y = self.node(x).right;
-        self.node_mut(x).right = self.node(y).left;
-        self.node_mut(y).left = x;
-        self.pull(x);
-        self.pull(y);
-        y
-    }
-
-    /// Merge two subtrees where every key in `a` precedes every key in
-    /// `b`, returning the merged root.
-    fn merge(&mut self, a: u32, b: u32) -> u32 {
+    /// Meld two pairing heaps (either root may be `NIL`): the root with
+    /// the larger key becomes the other's first child.
+    fn meld(&mut self, a: u32, b: u32) -> u32 {
         if a == NIL {
             return b;
         }
         if b == NIL {
             return a;
         }
-        if self.node(a).prio < self.node(b).prio {
-            let r = self.merge(self.node(a).right, b);
-            self.node_mut(a).right = r;
-            self.pull(a);
-            a
+        let (root, sub) = if key_lt(self.key(b), self.key(a)) {
+            (b, a)
         } else {
-            let l = self.merge(a, self.node(b).left);
-            self.node_mut(b).left = l;
-            self.pull(b);
-            b
-        }
+            (a, b)
+        };
+        self.nodes[sub as usize].next = self.nodes[root as usize].child;
+        self.nodes[root as usize].child = sub;
+        root
     }
 
-    /// Remove the first item in key order with `alloc ≤ free` from the
-    /// subtree at `at`. Returns the new subtree root and the removed
-    /// arena index (if the subtree contained a fit).
-    fn pop_at(&mut self, at: u32, free: u32) -> (u32, Option<u32>) {
-        if at == NIL || self.node(at).min_alloc > free {
-            return (at, None);
-        }
-        // The subtree minimum fits, so *something* here will be popped.
-        let left = self.node(at).left;
-        if left != NIL && self.node(left).min_alloc <= free {
-            let (nl, removed) = self.pop_at(left, free);
-            self.node_mut(at).left = nl;
-            self.pull(at);
-            return (at, removed);
-        }
-        if self.node(at).item.alloc <= free {
-            let merged = self.merge(self.node(at).left, self.node(at).right);
-            return (merged, Some(at));
-        }
-        let right = self.node(at).right;
-        let (nr, removed) = self.pop_at(right, free);
-        self.node_mut(at).right = nr;
-        self.pull(at);
-        (at, removed)
-    }
-
-    /// Insert into the treap tier without touching `len`.
-    fn tree_insert(&mut self, item: ReadyItem) {
-        let new = self.alloc_node(item);
-        self.root = self.insert_at(self.root, new);
-    }
-
-    /// Move every inline item into the treap (spill up).
-    fn spill(&mut self) {
-        let drained = std::mem::take(&mut self.small);
-        for it in drained.into_iter().filter(|it| it.alloc != TOMB) {
-            self.tree_insert(it);
-        }
-        self.live_sum = 0;
-        self.stale_from = 0;
-    }
-
-    /// Move the whole treap back into the inline buffer (drain down).
-    /// An iterative in-order walk emits items already key-sorted.
-    fn unspill(&mut self) {
-        debug_assert!(self.small.is_empty());
-        self.small.reserve(self.len);
-        let mut stack: Vec<u32> = Vec::new();
-        let mut cur = self.root;
-        let mut sum = 0;
-        while cur != NIL || !stack.is_empty() {
-            while cur != NIL {
-                stack.push(cur);
-                cur = self.node(cur).left;
-            }
-            let i = stack.pop().expect("non-empty stack");
-            let item = self.node(i).item;
-            sum += u64::from(item.alloc);
-            self.small.push(item);
-            cur = self.node(i).right;
-        }
-        self.live_sum = sum;
-        self.stale_from = 0;
-        self.root = NIL;
-        self.nodes.clear();
-        self.spare.clear();
-    }
-
-    /// Bring the block-min tree up to date with `small`: rebuild it
-    /// after a reshuffle or when the buffer outgrows its leaves, and
-    /// otherwise recompute only the blocks written since the last
-    /// refresh and their ancestors.
-    fn refresh(&mut self) {
-        let n = self.small.len();
-        let blocks = n.div_ceil(BLOCK);
-        if self.stale_from == 0 || blocks > self.mins.len() / 2 {
-            // Rebuild: every node empty, then every block stale.
-            self.mins.clear();
-            self.mins.resize(2 * blocks.next_power_of_two(), TOMB);
-            self.stale_from = 0;
-        }
-        if self.stale_from < n {
-            let leaves = self.mins.len() / 2;
-            let first = self.stale_from / BLOCK;
-            for b in first..blocks {
-                self.mins[leaves + b] = self.block_min(b);
-            }
-            let (mut lo, mut hi) = (leaves + first, leaves + blocks - 1);
-            while lo > 1 {
-                (lo, hi) = (lo / 2, hi / 2);
-                for i in lo..=hi {
-                    self.mins[i] = self.mins[2 * i].min(self.mins[2 * i + 1]);
-                }
-            }
-            self.scan_steps += (n - first * BLOCK) as u64;
-        }
-        self.stale_from = n;
-    }
-
-    /// Smallest live allocation in block `b` (`TOMB` if none).
-    fn block_min(&self, b: usize) -> u32 {
-        let end = (b * BLOCK + BLOCK).min(self.small.len());
-        self.small[b * BLOCK..end]
-            .iter()
-            .map(|it| it.alloc)
-            .min()
-            .unwrap_or(TOMB)
-    }
-
-    /// First block at or after `from` whose minimum allocation is at
-    /// most `free`: climb until a subtree further right qualifies, then
-    /// descend to its leftmost qualifying leaf.
-    fn next_fit_block(&self, from: usize, free: u32) -> Option<usize> {
-        let leaves = self.mins.len() / 2;
-        if from >= leaves {
-            return None;
-        }
-        let mut i = leaves + from;
-        while self.mins[i] > free {
-            // Right children end where their parent ends: climb past them.
-            while i & 1 == 1 {
-                i >>= 1;
-            }
-            if i == 0 {
-                return None;
-            }
-            i += 1;
-        }
-        while i < leaves {
-            i *= 2;
-            if self.mins[i] > free {
-                i += 1;
-            }
-        }
-        Some(i - leaves)
-    }
-
-    /// Store block `b`'s new minimum and fix its ancestors, stopping
-    /// at the first one that does not change.
-    fn set_leaf(&mut self, b: usize, min: u32) {
-        let mut i = self.mins.len() / 2 + b;
-        self.mins[i] = min;
-        while i > 1 {
-            i /= 2;
-            let m = self.mins[2 * i].min(self.mins[2 * i + 1]);
-            if self.mins[i] == m {
-                break;
-            }
-            self.mins[i] = m;
-        }
-    }
-
-    /// Take up to `limit` inline items first-fit, in key order, with
-    /// `free` shrinking as items are taken: descend the block-min tree
-    /// to each block holding a fit, scan that block, and tombstone what
-    /// it starts. Compacts once tombstones outnumber live items.
-    fn take_by_blocks(&mut self, free: &mut u32, limit: usize, mut emit: impl FnMut(ReadyItem)) {
-        self.refresh();
-        let mut cap = (*free).min(TOMB - 1);
-        if self.mins[1] > cap {
-            return;
-        }
-        let (mut taken, mut from) = (0, 0);
-        while taken < limit {
-            let Some(b) = self.next_fit_block(from, cap) else {
-                break;
+    /// Combine a removed root's children, the sibling list starting at
+    /// `first`, into one heap: meld them in pairs left to right, then
+    /// fold the pairs right to left (the two-pass rule behind the
+    /// pairing heap's amortized O(log n) removal).
+    fn merge_pairs(&mut self, mut first: u32) -> u32 {
+        // Melded pairs, the latest first, linked through `next`.
+        let mut pairs = NIL;
+        while first != NIL {
+            let second = self.nodes[first as usize].next;
+            let rest = if second == NIL {
+                NIL
+            } else {
+                self.nodes[second as usize].next
             };
-            let end = (b * BLOCK + BLOCK).min(self.small.len());
-            let mut min = TOMB;
-            for it in &mut self.small[b * BLOCK..end] {
-                if taken < limit && it.alloc <= cap {
-                    emit(*it);
-                    *free -= it.alloc;
-                    cap = (*free).min(TOMB - 1);
-                    self.live_sum -= u64::from(it.alloc);
-                    it.alloc = TOMB;
-                    taken += 1;
-                } else {
-                    min = min.min(it.alloc);
+            let pair = self.meld(first, second);
+            self.nodes[pair as usize].next = pairs;
+            pairs = pair;
+            first = rest;
+        }
+        let mut root = NIL;
+        while pairs != NIL {
+            let rest = self.nodes[pairs as usize].next;
+            root = self.meld(root, pairs);
+            pairs = rest;
+        }
+        if root != NIL {
+            self.nodes[root as usize].next = NIL;
+        }
+        root
+    }
+
+    /// Arena slot of a non-empty bucket's smallest key.
+    fn head_of(&self, b: Bucket) -> u32 {
+        if b.heap == NIL || (b.first != NIL && key_lt(self.key(b.first), self.key(b.heap))) {
+            b.first
+        } else {
+            b.heap
+        }
+    }
+
+    /// Insert the buckets that releases made non-empty into the sorted
+    /// prefix of the live list.
+    fn sort_live(&mut self) {
+        for j in self.sorted..self.live.len() {
+            let alloc = self.live[j].alloc;
+            let pos = self.live[..j].partition_point(|l| l.alloc < alloc);
+            self.live[pos..=j].rotate_right(1);
+        }
+        self.sorted = self.live.len();
+    }
+
+    /// Index of allocation `alloc`'s bucket, made on first use.
+    fn bucket_of(&mut self, alloc: u32) -> usize {
+        let a = alloc as usize;
+        if let Some(&id) = self.ids.get(a).filter(|&&id| id != 0) {
+            return id as usize - 1;
+        }
+        if a >= self.ids.len() {
+            // A fresh zeroed table, so the part no allocation reaches
+            // is never written.
+            let mut ids = vec![0; (a + 1).max(2 * self.ids.len())];
+            ids[..self.ids.len()].copy_from_slice(&self.ids);
+            self.ids = ids;
+        }
+        self.buckets.push(EMPTY);
+        self.ids[a] = u32::try_from(self.buckets.len()).expect("bucket count fits u32");
+        self.buckets.len() - 1
+    }
+
+    /// Insert a released task. Its key must be unique.
+    pub fn push(&mut self, item: ReadyItem) {
+        let id = self.bucket_of(item.alloc);
+        let slot = self.alloc_node(item);
+        let mut b = self.buckets[id];
+        let was_empty = b.first == NIL && b.heap == NIL;
+        // A key past the run's last one (every FIFO key) appends; an
+        // earlier key joins the heap.
+        let key = ord_key(item.key);
+        let behind_run = b.last != NIL && (key > self.newest || ord_key(self.key(b.last)) < key);
+        self.newest = self.newest.max(key);
+        if b.last == NIL || behind_run {
+            if b.last == NIL {
+                b.first = slot;
+            } else {
+                self.nodes[b.last as usize].next = slot;
+            }
+            b.last = slot;
+        } else {
+            b.heap = self.meld(b.heap, slot);
+        }
+        self.buckets[id] = b;
+        self.len += 1;
+        self.alloc_sum += u64::from(item.alloc);
+        let head = Live {
+            alloc: item.alloc,
+            bucket: u32::try_from(id).expect("bucket count fits u32"),
+            head: slot,
+            key,
+        };
+        if was_empty {
+            self.live.push(head);
+        } else if !behind_run && self.head_of(b) == slot {
+            self.sort_live();
+            let pos = self.live.partition_point(|l| l.alloc < item.alloc);
+            self.live[pos] = head;
+        }
+    }
+
+    /// Start the head of the bucket at live index `i`, then keep
+    /// starting its next head while fewer than `max` were taken, it
+    /// fits `free`, and it sorts before `bound`, the smallest head key
+    /// of the other fitting buckets: only this bucket's head changes
+    /// meanwhile. The live entry is updated once, at the end.
+    fn take(
+        &mut self,
+        i: usize,
+        free: &mut u32,
+        bound: u128,
+        max: usize,
+        mut emit: impl FnMut(ReadyItem),
+    ) {
+        let Live {
+            alloc,
+            bucket,
+            mut head,
+            ..
+        } = self.live[i];
+        let mut b = self.buckets[bucket as usize];
+        // Run items leave from the front, so the ones taken stay linked
+        // in order and join the free list as one chain at the end.
+        let (run_first, mut run_last) = (b.first, NIL);
+        let mut taken = 0;
+        loop {
+            let node = self.nodes[head as usize];
+            if head == b.first {
+                b.first = node.next;
+                run_last = head;
+            } else {
+                b.heap = self.merge_pairs(node.child);
+                self.nodes[head as usize].next = self.free_slot;
+                self.free_slot = head;
+            }
+            *free -= alloc;
+            emit(node.item);
+            taken += 1;
+            if b.first == NIL && b.heap == NIL {
+                break;
+            }
+            head = self.head_of(b);
+            if taken == max
+                || alloc > *free
+                || (bound != u128::MAX && bound < ord_key(self.key(head)))
+            {
+                break;
+            }
+        }
+        // Each task after the first read its head once.
+        self.scan_steps += taken as u64 - 1;
+        if run_last != NIL {
+            self.nodes[run_last as usize].next = self.free_slot;
+            self.free_slot = run_first;
+        }
+        if b.first == NIL {
+            b.last = NIL;
+        }
+        self.buckets[bucket as usize] = b;
+        self.len -= taken;
+        self.alloc_sum -= u64::from(alloc) * taken as u64;
+        if b.first == NIL && b.heap == NIL {
+            self.live.remove(i);
+            self.sorted -= 1;
+        } else {
+            self.live[i].head = head;
+            self.live[i].key = ord_key(self.key(head));
+        }
+    }
+
+    /// Live index of the first fit for `free`, the smallest head key
+    /// among the buckets whose allocation fits, and the smallest head
+    /// key of the other fitting buckets (`u128::MAX` if none). Reads
+    /// the sorted live list only as far as the allocations fit.
+    fn first_fit(&mut self, free: u32) -> Option<(usize, u128)> {
+        let (mut best, mut best_key, mut runner_up) = (None, u128::MAX, u128::MAX);
+        let mut read = 0;
+        for (i, l) in self.live.iter().enumerate() {
+            if l.alloc > free {
+                break;
+            }
+            read += 1;
+            if l.key < best_key {
+                runner_up = best_key;
+                (best, best_key) = (Some(i), l.key);
+            } else if l.key < runner_up {
+                runner_up = l.key;
+            }
+        }
+        self.scan_steps += read;
+        best.map(|i| (i, runner_up))
+    }
+
+    /// Move every waiting task to `out` in key order and reset the
+    /// queue.
+    fn take_all(&mut self, out: &mut Vec<ReadyItem>) {
+        let start = out.len();
+        self.scan_steps += self.live.len() as u64;
+        if self.free_slot == NIL {
+            // No slot is free, so the arena holds exactly the waiting
+            // tasks.
+            out.extend(self.nodes.iter().map(|n| n.item));
+            for l in &self.live {
+                self.buckets[l.bucket as usize] = EMPTY;
+            }
+        } else {
+            for l in &self.live {
+                let b = std::mem::replace(&mut self.buckets[l.bucket as usize], EMPTY);
+                // A run is a heap without children: walk both by
+                // rotating each first child into the sibling chain,
+                // emitting every node once it has no child left.
+                for mut slot in [b.first, b.heap] {
+                    while slot != NIL {
+                        let child = self.nodes[slot as usize].child;
+                        if child == NIL {
+                            out.push(self.nodes[slot as usize].item);
+                            slot = self.nodes[slot as usize].next;
+                        } else {
+                            self.nodes[slot as usize].child = self.nodes[child as usize].next;
+                            self.nodes[child as usize].next = slot;
+                            slot = child;
+                        }
+                    }
                 }
             }
-            self.scan_steps += (end - b * BLOCK) as u64;
-            self.set_leaf(b, min);
-            from = b + 1;
         }
-        self.len -= taken;
-        if self.small.len() - self.len > self.len {
-            self.scan_steps += self.small.len() as u64;
-            self.small.retain(|it| it.alloc != TOMB);
-            self.stale_from = 0;
-        }
+        out[start..].sort_unstable_by_key(|it| ord_key(it.key));
+        self.live.clear();
+        self.sorted = 0;
+        self.nodes.clear();
+        self.free_slot = NIL;
+        self.alloc_sum = 0;
+        self.len = 0;
     }
 
     /// Drain *every* item a full list-scheduling decision point would
@@ -485,104 +471,31 @@ impl IndexedQueue {
     /// `alloc ≤ free`, with `free` shrinking as items are taken.
     /// Exactly equivalent to looping [`Self::pop_first_fit`],
     /// because skipped items stay infeasible while `free` only
-    /// decreases. The inline tier descends the block-min tree, reading
-    /// only the blocks that hold a fit, unless the tree cannot skip a
-    /// block: when `free` covers every live allocation, or the buffer
-    /// is a single block. Then one compacting pass reads it instead.
+    /// decreases. Starts the whole queue in one sorted pass when `free`
+    /// covers every waiting allocation, and returns after one
+    /// comparison when the smallest waiting allocation exceeds `free`.
     pub fn pop_fits_into(&mut self, free: &mut u32, out: &mut Vec<ReadyItem>) {
-        // Treap tier: O(log n) guided descents; a pop may trigger the
-        // unspill transition, after which the inline tier finishes.
-        while !self.inline_mode() {
-            match self.pop_first_fit(*free) {
-                Some(it) => {
-                    *free -= it.alloc;
-                    out.push(it);
-                }
-                None => return,
+        if self.alloc_sum <= u64::from(*free) {
+            if !self.is_empty() {
+                *free -= u32::try_from(self.alloc_sum).expect("sum is at most free");
+                self.take_all(out);
             }
-        }
-        if self.live_sum > u64::from(*free) && self.small.len() > BLOCK {
-            self.take_by_blocks(free, usize::MAX, |it| out.push(it));
             return;
         }
-        self.scan_steps += self.small.len() as u64;
-        let mut w = 0;
-        for r in 0..self.small.len() {
-            let it = self.small[r];
-            if it.alloc == TOMB {
-                continue;
-            }
-            if it.alloc <= *free {
-                *free -= it.alloc;
-                self.live_sum -= u64::from(it.alloc);
-                self.len -= 1;
-                out.push(it);
-            } else {
-                // While nothing has been removed (w == r) the prefix
-                // is already in place — no write-back.
-                if w != r {
-                    self.small[w] = it;
-                }
-                w += 1;
-            }
+        self.sort_live();
+        while let Some((i, runner_up)) = self.first_fit(*free) {
+            self.take(i, free, runner_up, usize::MAX, |it| out.push(it));
         }
-        self.small.truncate(w);
-        self.stale_from = 0;
-    }
-
-    /// Insert a released task. Its key must be unique and its
-    /// allocation below `u32::MAX`, which [`ReadyItem::alloc`] reserves.
-    pub fn push(&mut self, item: ReadyItem) {
-        assert!(item.alloc != TOMB, "allocation u32::MAX is reserved");
-        if self.inline_mode() {
-            // A key past the last one (every FIFO key) appends at any
-            // depth; only an earlier key pays the binary search and
-            // memmove, and past the threshold it spills instead.
-            let earlier = self
-                .small
-                .last()
-                .is_some_and(|last| key_lt(item.key, last.key));
-            if !earlier || self.len < self.spill_at {
-                if earlier {
-                    let pos = self.small.partition_point(|it| !key_lt(item.key, it.key));
-                    self.small.insert(pos, item);
-                    self.stale_from = self.stale_from.min(pos);
-                } else {
-                    self.small.push(item);
-                }
-                self.live_sum += u64::from(item.alloc);
-                self.len += 1;
-                return;
-            }
-            self.spill();
-        }
-        self.tree_insert(item);
-        self.len += 1;
     }
 
     /// Remove and return the first task in key order with
     /// `alloc ≤ free`, if any.
-    pub fn pop_first_fit(&mut self, free: u32) -> Option<ReadyItem> {
-        if self.inline_mode() {
-            let mut found = None;
-            self.take_by_blocks(&mut { free }, 1, |it| found = Some(it));
-            return found;
-        }
-        let (root, removed) = self.pop_at(self.root, free);
-        self.root = root;
-        let i = removed?;
-        self.len -= 1;
-        self.spare.push(i);
-        let item = self.node(i).item;
-        if self.root == NIL {
-            // Treap drained completely: clear the arena so the next
-            // pushes land back in the inline tier.
-            self.nodes.clear();
-            self.spare.clear();
-        } else if self.len * 4 < self.spill_at {
-            self.unspill();
-        }
-        Some(item)
+    pub fn pop_first_fit(&mut self, mut free: u32) -> Option<ReadyItem> {
+        self.sort_live();
+        let (i, _) = self.first_fit(free)?;
+        let mut found = None;
+        self.take(i, &mut free, u128::MAX, 1, |it| found = Some(it));
+        found
     }
 
     /// Number of waiting tasks.
@@ -601,7 +514,9 @@ impl IndexedQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{mu_cap, QueuePolicy};
     use moldable_model::rng::{Rng, StdRng};
+    use moldable_model::MU_MAX;
 
     /// The original queue: a `Vec` kept sorted by key, scanned
     /// linearly — the executable specification of queue behaviour.
@@ -655,6 +570,101 @@ mod tests {
             assert_eq!(lin.pop_first_fit(f), idx.pop_first_fit(f), "free={f}");
             assert_eq!(lin.len(), idx.len());
         }
+    }
+
+    /// Run one decision point on both queues and compare: the indexed
+    /// queue's `pop_fits_into` must emit exactly what the oracle's
+    /// repeated first fits emit, and leave the same free count.
+    fn decision_point_equal(lin: &mut LinearQueue, idx: &mut IndexedQueue, budget: u32) -> usize {
+        let mut free = budget;
+        let mut got = Vec::new();
+        idx.pop_fits_into(&mut free, &mut got);
+        let mut left = budget;
+        for it in &got {
+            assert_eq!(lin.pop_first_fit(left), Some(*it), "budget {budget}");
+            left -= it.alloc;
+        }
+        assert_eq!(lin.pop_first_fit(left), None, "oracle had more fits");
+        assert_eq!(free, left);
+        got.len()
+    }
+
+    /// Every task reachable from a bucket, walked without changing it:
+    /// the run in order, then the heap in preorder.
+    fn bucket_items(q: &IndexedQueue, b: Bucket) -> (Vec<ReadyItem>, Vec<ReadyItem>) {
+        let mut run = Vec::new();
+        let mut slot = b.first;
+        while slot != NIL {
+            let n = q.nodes[slot as usize];
+            assert_eq!(n.child, NIL, "run node with a child");
+            run.push(n.item);
+            slot = n.next;
+        }
+        let mut heap = Vec::new();
+        let mut stack = vec![(b.heap, None::<(f64, u64)>)];
+        while let Some((slot, parent)) = stack.pop() {
+            if slot == NIL {
+                continue;
+            }
+            let n = q.nodes[slot as usize];
+            if let Some(p) = parent {
+                assert!(key_lt(p, n.item.key), "heap order violated");
+            }
+            heap.push(n.item);
+            stack.push((n.next, parent));
+            stack.push((n.child, Some(n.item.key)));
+        }
+        (run, heap)
+    }
+
+    /// The index agrees with its contents: the live list's sorted
+    /// prefix is in allocation order, the list names exactly the
+    /// non-empty buckets, once each, with their true head keys, runs
+    /// are sorted and heaps heap-ordered, the count and allocation sum
+    /// are exact, and every arena slot is either waiting or free.
+    fn assert_consistent(q: &IndexedQueue) {
+        assert!(q.live[..q.sorted]
+            .windows(2)
+            .all(|w| w[0].alloc < w[1].alloc));
+        let mut allocs: Vec<u32> = q.live.iter().map(|l| l.alloc).collect();
+        allocs.sort_unstable();
+        allocs.dedup();
+        assert_eq!(allocs.len(), q.live.len(), "bucket listed twice");
+        let (mut count, mut sum) = (0, 0u64);
+        for (a, &id) in q.ids.iter().enumerate() {
+            if id == 0 {
+                continue;
+            }
+            let b = q.buckets[id as usize - 1];
+            let (run, heap) = bucket_items(q, b);
+            let live = q.live.iter().find(|l| l.alloc as usize == a);
+            if run.is_empty() && heap.is_empty() {
+                assert!(live.is_none(), "empty bucket {a} is live");
+                assert_eq!((b.first, b.last, b.heap), (NIL, NIL, NIL));
+                continue;
+            }
+            let live = live.unwrap_or_else(|| panic!("bucket {a} is not live"));
+            assert_eq!(live.bucket, id - 1);
+            assert!(run.windows(2).all(|w| key_lt(w[0].key, w[1].key)));
+            let all: Vec<_> = run.iter().chain(&heap).collect();
+            assert!(all.iter().all(|it| it.alloc as usize == a));
+            let min = all
+                .iter()
+                .map(|it| it.key)
+                .reduce(|x, y| if key_lt(y, x) { y } else { x });
+            assert_eq!(Some(live.key), min.map(ord_key), "bucket {a} head key");
+            assert_eq!(ord_key(q.nodes[live.head as usize].item.key), live.key);
+            count += all.len();
+            sum += all.iter().map(|it| u64::from(it.alloc)).sum::<u64>();
+        }
+        assert_eq!((count, sum), (q.len, q.alloc_sum));
+        let mut free = 0;
+        let mut slot = q.free_slot;
+        while slot != NIL {
+            free += 1;
+            slot = q.nodes[slot as usize].next;
+        }
+        assert_eq!(free + q.len, q.nodes.len(), "arena slot lost");
     }
 
     #[test]
@@ -719,6 +729,7 @@ mod tests {
             }
             assert_eq!(lin.len(), idx.len());
         }
+        assert_consistent(&idx);
         // Drain completely.
         loop {
             let (a, b) = (lin.pop_first_fit(16), idx.pop_first_fit(16));
@@ -731,309 +742,187 @@ mod tests {
 
     #[test]
     fn arena_slots_are_recycled() {
-        // Spill threshold 1 forces everything through the treap tier.
-        let mut q = IndexedQueue::with_spill_threshold(1);
+        // Shortest-first keys arrive out of order, so most tasks pass
+        // through the heaps; 1000 pushes with at most 100 waiting at
+        // once must not grow the arena past that high-water mark.
+        let mut rng = StdRng::seed_from_u64(0xA4E7);
+        let mut q = IndexedQueue::new();
         for round in 0..10u64 {
             for i in 0..100 {
-                q.push(item(round * 100 + i, 1, 0.0));
+                let seq = round * 100 + i;
+                q.push(item(seq, 1 + (seq % 3) as u32, rng.gen_range(0.0..1.0)));
             }
-            while q.pop_first_fit(1).is_some() {}
+            while q.pop_first_fit(2).is_some() {}
+            assert_consistent(&q);
+            while q.pop_first_fit(3).is_some() {}
         }
-        // 1000 pushes but only ~100 live at once: the arena must not
-        // grow past the high-water mark.
-        assert!(q.nodes.len() <= 101, "arena grew to {}", q.nodes.len());
+        assert!(q.nodes.len() <= 100, "arena grew to {}", q.nodes.len());
     }
 
     #[test]
-    fn short_queues_never_touch_the_treap_arena() {
-        let mut q = IndexedQueue::new();
-        for round in 0..5u64 {
-            for i in 0..SPILL_THRESHOLD as u64 {
-                q.push(item(round * 10_000 + i, 2, 0.0));
-            }
-            while q.pop_first_fit(4).is_some() {}
-        }
-        assert!(q.nodes.is_empty(), "inline tier should have sufficed");
-    }
-
-    /// The inline tier's bookkeeping agrees with its buffer: keys
-    /// sorted, live count and allocation sum exact, tombstones no more
-    /// than live items, and wherever the block-min tree is fresh every
-    /// node holds the minimum of what it covers.
-    fn assert_consistent(q: &IndexedQueue) {
-        if !q.inline_mode() {
-            return;
-        }
-        assert!(q.small.windows(2).all(|w| key_lt(w[0].key, w[1].key)));
-        let live: Vec<u32> = q
-            .small
-            .iter()
-            .map(|it| it.alloc)
-            .filter(|&a| a != TOMB)
-            .collect();
-        assert_eq!(live.len(), q.len);
-        assert_eq!(live.iter().copied().map(u64::from).sum::<u64>(), q.live_sum);
-        assert!(
-            q.small.len() - q.len <= q.len,
-            "tombstones outnumber live items"
-        );
-        if q.stale_from > 0 && q.stale_from == q.small.len() {
-            let leaves = q.mins.len() / 2;
-            let blocks = q.small.len().div_ceil(BLOCK);
-            for b in 0..leaves {
-                let want = if b < blocks { q.block_min(b) } else { TOMB };
-                assert_eq!(q.mins[leaves + b], want, "leaf {b}");
-            }
-            for i in 1..leaves {
-                assert_eq!(q.mins[i], q.mins[2 * i].min(q.mins[2 * i + 1]), "node {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn spill_and_unspill_transitions_match_reference() {
-        // Tiny thresholds so a few thousand interleaved ops cross the
-        // inline→treap and treap→inline boundaries many times over.
-        // Each case: (spill threshold, share of FIFO keys, whether a
-        // decision point is drained whole by `pop_fits_into` instead of
-        // popped one first fit at a time). Thresholds past 16 keep
-        // several block-min blocks live on the inline side of every
-        // transition. The all-FIFO case only ever appends, so it must
-        // stay inline however deep it grows.
-        let mut rng = StdRng::seed_from_u64(0x5B11);
-        for (spill_at, fifo, whole) in [
-            (16usize, 0.5, false),
-            (64, 0.5, true),
-            (64, 0.9, false),
-            (200, 1.0, true),
-        ] {
-            let mut lin = LinearQueue::new();
-            let mut idx = IndexedQueue::with_spill_threshold(spill_at);
-            let mut seq = 0u64;
-            let mut spills = 0;
-            let mut drained = Vec::new();
-            for _ in 0..8_000 {
-                if rng.gen_bool(0.55) || lin.is_empty() {
-                    let primary = if rng.gen_bool(fifo) {
-                        0.0
+    fn every_policy_matches_the_oracle_on_wide_platforms() {
+        // Random push / decision-point / first-fit sequences under all
+        // five policies, with allocations drawn from the capped domain
+        // 1..=⌈μP⌉ at P = 16384 (hundreds of distinct allocations per
+        // case). Each case: (distinct allocations drawn, push
+        // probability, largest budget as a share of the waiting
+        // allocation sum). Budgets above the sum start the whole queue
+        // in one pass; small ones leave the head blocked behind wider
+        // tasks; the eight-allocation case empties and refills its
+        // buckets over and over.
+        let p = 16_384;
+        let cap = mu_cap(p, MU_MAX);
+        let mut rng = StdRng::seed_from_u64(0x0B0E);
+        let (mut take_alls, mut blocked, mut refills) = (0, 0, 0);
+        for policy in QueuePolicy::all() {
+            for (distinct, push_p, budget_share) in
+                [(400usize, 0.6, 0.3), (300, 0.5, 1.5), (8, 0.5, 0.8)]
+            {
+                let domain: Vec<u32> = (0..distinct).map(|_| rng.gen_range(1..=cap)).collect();
+                let mut lin = LinearQueue::new();
+                let mut idx = IndexedQueue::new();
+                let mut held = vec![false; cap as usize + 1];
+                for seq in 0..4_000u64 {
+                    if rng.gen_bool(push_p) || lin.is_empty() {
+                        let alloc = domain[rng.gen_range(0..distinct)];
+                        let it = ReadyItem {
+                            task: TaskId(u32::try_from(seq).unwrap()),
+                            alloc,
+                            key: policy.key(rng.gen_range(0.1..100.0), alloc, seq),
+                        };
+                        let a = alloc as usize;
+                        let empty = lin.items.iter().all(|w| w.alloc != alloc);
+                        refills += usize::from(empty && held[a]);
+                        held[a] = true;
+                        lin.push(it);
+                        idx.push(it);
                     } else {
-                        rng.gen_range(-10.0..10.0)
-                    };
-                    let it = item(seq, rng.gen_range(1u32..12), primary);
-                    seq += 1;
-                    lin.push(it);
-                    let was_inline = idx.inline_mode();
-                    idx.push(it);
-                    spills += usize::from(was_inline && !idx.inline_mode());
-                } else if whole {
-                    let budget = rng.gen_range(0u32..10);
-                    let mut free = budget;
-                    drained.clear();
-                    idx.pop_fits_into(&mut free, &mut drained);
-                    let mut left = budget;
-                    for got in &drained {
-                        assert_eq!(lin.pop_first_fit(left), Some(*got));
-                        left -= got.alloc;
+                        let sum: u64 = lin.items.iter().map(|it| u64::from(it.alloc)).sum();
+                        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+                        let budget = rng.gen_range(0..=(sum as f64 * budget_share) as u32);
+                        if rng.gen_bool(0.2) {
+                            assert_eq!(lin.pop_first_fit(budget), idx.pop_first_fit(budget));
+                        } else {
+                            let head_blocked = lin.items[0].alloc > budget;
+                            let took = decision_point_equal(&mut lin, &mut idx, budget);
+                            take_alls += usize::from(u64::from(budget) >= sum);
+                            blocked += usize::from(head_blocked && took > 0);
+                        }
                     }
-                    assert_eq!(lin.pop_first_fit(left), None, "reference had more fits");
-                    assert_eq!(free, left);
-                    assert_consistent(&idx);
-                } else {
-                    let free = rng.gen_range(0u32..14);
-                    assert_eq!(lin.pop_first_fit(free), idx.pop_first_fit(free));
+                    assert_eq!(lin.len(), idx.len());
+                    if seq % 256 == 0 {
+                        assert_consistent(&idx);
+                    }
                 }
-                assert_eq!(lin.len(), idx.len());
-            }
-            if fifo < 1.0 {
-                assert!(spills > 0, "spill_at {spill_at}: never spilled");
-            } else {
-                assert_eq!(spills, 0, "spill_at {spill_at}: FIFO keys spilled");
-            }
-            loop {
-                let (a, b) = (lin.pop_first_fit(16), idx.pop_first_fit(16));
-                assert_eq!(a, b);
-                if a.is_none() {
-                    break;
+                assert_consistent(&idx);
+                while !lin.is_empty() {
+                    decision_point_equal(&mut lin, &mut idx, cap);
                 }
+                assert!(idx.is_empty());
             }
-            assert!(idx.is_empty());
         }
+        assert!(
+            take_alls > 0 && blocked > 0 && refills > 0,
+            "{take_alls} {blocked} {refills}"
+        );
     }
 
     #[test]
-    fn fifo_streams_stay_inline_at_any_depth() {
-        // Every FIFO key sorts past the last one, so a stream eight
-        // thresholds deep appends without spilling and drains exactly
-        // like the reference, one first fit at a time or a decision
-        // point at a time, with more appends arriving as it drains.
-        let mut rng = StdRng::seed_from_u64(0xF1F0);
-        let depth = 8 * SPILL_THRESHOLD as u64;
-        for whole in [false, true] {
+    fn deep_single_bucket_duration_queues_stay_logarithmic() {
+        // 10^5 tasks of one allocation under the two duration
+        // policies: keys arrive in random order, so nearly every one
+        // lands in the bucket's heap. A quadratic insert would take
+        // minutes here; the pairing heap takes milliseconds. The
+        // oracle checks the first 3000 operations; every pop is also
+        // checked against an ordered set of the waiting keys.
+        const N: u64 = 100_000;
+        const SAMPLE: u64 = 3_000;
+        // Order-preserving map of `total_cmp` onto u64.
+        let ord = |(primary, seq): (f64, u64)| {
+            let bits = primary.to_bits();
+            let bits = if bits >> 63 == 1 {
+                !bits
+            } else {
+                bits | 1 << 63
+            };
+            (bits, seq)
+        };
+        for policy in [QueuePolicy::ShortestFirst, QueuePolicy::LongestFirst] {
+            let mut rng = StdRng::seed_from_u64(0xDEE9);
             let mut lin = LinearQueue::new();
             let mut idx = IndexedQueue::new();
-            let mut seq = 0u64;
-            while seq < depth {
-                let it = item(seq, rng.gen_range(1u32..12), 0.0);
-                seq += 1;
-                lin.push(it);
+            let mut waiting = std::collections::BTreeSet::new();
+            let check_pop =
+                |idx: &mut IndexedQueue, waiting: &mut std::collections::BTreeSet<_>| {
+                    let got = idx.pop_first_fit(7).expect("queue is not empty");
+                    assert_eq!(Some(ord(got.key)), waiting.pop_first());
+                    got
+                };
+            for seq in 0..N {
+                let it = ReadyItem {
+                    task: TaskId(u32::try_from(seq).unwrap()),
+                    alloc: 7,
+                    key: policy.key(rng.gen_range(0.1..100.0), 7, seq),
+                };
                 idx.push(it);
-            }
-            assert!(idx.inline_mode() && idx.nodes.is_empty());
-            assert_eq!(idx.len(), 8 * SPILL_THRESHOLD);
-            let mut drained = Vec::new();
-            for step in 0u32.. {
-                if lin.is_empty() {
-                    break;
-                }
-                let budget = rng.gen_range(0u32..40);
-                if whole {
-                    let mut free = budget;
-                    drained.clear();
-                    idx.pop_fits_into(&mut free, &mut drained);
-                    let mut left = budget;
-                    for got in &drained {
-                        assert_eq!(lin.pop_first_fit(left), Some(*got));
-                        left -= got.alloc;
-                    }
-                    assert_eq!(lin.pop_first_fit(left), None, "reference had more fits");
-                    assert_eq!(free, left);
-                } else {
-                    assert_eq!(lin.pop_first_fit(budget), idx.pop_first_fit(budget));
-                }
-                if rng.gen_bool(0.3) {
-                    let it = item(seq, rng.gen_range(1u32..12), 0.0);
-                    seq += 1;
+                waiting.insert(ord(it.key));
+                if seq < SAMPLE {
                     lin.push(it);
-                    idx.push(it);
                 }
-                assert!(idx.inline_mode(), "step {step}: FIFO stream spilled");
-                assert_eq!(lin.len(), idx.len());
-                if step % 64 == 0 {
-                    assert_consistent(&idx);
-                }
-            }
-            assert!(idx.is_empty() && idx.nodes.is_empty());
-        }
-    }
-
-    #[test]
-    fn only_an_earlier_key_past_the_threshold_spills() {
-        let mut q = IndexedQueue::new();
-        for seq in 0..SPILL_THRESHOLD as u64 - 1 {
-            q.push(item(seq, 1, 0.0));
-        }
-        // Below the threshold an earlier key is inserted in place.
-        q.push(item(SPILL_THRESHOLD as u64, 1, -1.0));
-        assert!(q.inline_mode());
-        assert_eq!(q.len(), SPILL_THRESHOLD);
-        // At the threshold a FIFO key still appends...
-        q.push(item(SPILL_THRESHOLD as u64 + 1, 1, 0.0));
-        assert!(q.inline_mode());
-        // ...and the next earlier key spills the buffer into the treap.
-        q.push(item(SPILL_THRESHOLD as u64 + 2, 1, -2.0));
-        assert!(!q.inline_mode());
-        assert_eq!(q.len(), SPILL_THRESHOLD + 2);
-        assert_eq!(
-            q.pop_first_fit(1).unwrap().key,
-            (-2.0, SPILL_THRESHOLD as u64 + 2)
-        );
-        assert_eq!(
-            q.pop_first_fit(1).unwrap().key,
-            (-1.0, SPILL_THRESHOLD as u64)
-        );
-        assert_eq!(q.pop_first_fit(1).unwrap().key, (0.0, 0));
-    }
-
-    #[test]
-    fn batch_drain_matches_repeated_pops() {
-        // Drive one queue with pop_fits_into and a twin with the
-        // pop_first_fit loop it claims to equal, across random
-        // push/drain interleavings and spill transitions. Each case:
-        // (spill threshold, push probability, share of FIFO keys,
-        // largest drain budget). Small budgets against a deep queue
-        // take the block-min descent and pile up tombstones until a
-        // compaction; large budgets against a short queue take the
-        // compacting pass, and the last case's budgets often cover a
-        // queue of several blocks; non-FIFO keys insert mid-buffer.
-        let mut rng = StdRng::seed_from_u64(0xBA7C);
-        // Passes are counted per buffer size: one block, or more.
-        let (mut passes, mut descents, mut compactions, mut mid_inserts, mut deepest) =
-            ([0; 2], 0, 0, 0, 0);
-        for (spill_at, push_p, fifo, budget_max) in [
-            (4usize, 0.7, 0.5, 30u32),
-            (1024, 0.7, 0.5, 30),
-            (1024, 0.6, 1.0, 24),
-            (1024, 0.5, 0.8, 120),
-            (1024, 0.35, 0.5, 400),
-            (1024, 0.8, 0.5, 2000),
-        ] {
-            let mut a = IndexedQueue::with_spill_threshold(spill_at);
-            let mut b = IndexedQueue::with_spill_threshold(spill_at);
-            let mut seq = 0u64;
-            let mut drained: Vec<ReadyItem> = Vec::new();
-            for _ in 0..3_000 {
-                if rng.gen_bool(push_p) || a.is_empty() {
-                    let primary = if rng.gen_bool(fifo) {
-                        0.0
-                    } else {
-                        rng.gen_range(-10.0..10.0)
-                    };
-                    let it = item(seq, rng.gen_range(1u32..12), primary);
-                    seq += 1;
-                    if a.inline_mode() && a.small.last().is_some_and(|l| key_lt(it.key, l.key)) {
-                        mid_inserts += 1;
+                // Pop one task after every third push.
+                if seq % 3 == 2 {
+                    let got = check_pop(&mut idx, &mut waiting);
+                    if seq < SAMPLE {
+                        assert_eq!(lin.pop_first_fit(7), Some(got), "seq {seq}");
                     }
-                    a.push(it);
-                    b.push(it);
-                    deepest = deepest.max(a.small.len());
-                } else {
-                    let budget = rng.gen_range(0u32..budget_max);
-                    let (inline, before, steps) = (a.inline_mode(), a.small.len(), a.scan_steps);
-                    let pass = inline && (a.live_sum <= u64::from(budget) || before <= BLOCK);
-                    let mut free = budget;
-                    drained.clear();
-                    a.pop_fits_into(&mut free, &mut drained);
-                    // The compacting pass reads the buffer exactly once.
-                    if pass {
-                        assert_eq!(a.scan_steps - steps, before as u64);
-                        passes[usize::from(before > BLOCK)] += 1;
-                    } else if inline {
-                        descents += 1;
-                    }
-                    if inline && a.small.len() < before && !a.is_empty() {
-                        compactions += 1;
-                    }
-                    let mut free_b = budget;
-                    for got in &drained {
-                        let want = b.pop_first_fit(free_b).expect("twin pops too");
-                        assert_eq!(*got, want);
-                        free_b -= want.alloc;
-                    }
-                    assert_eq!(b.pop_first_fit(free_b), None, "twin had more fits");
-                    assert_eq!(free, free_b);
-                    assert_eq!(a.len(), b.len());
-                    assert_consistent(&a);
-                    assert_consistent(&b);
                 }
             }
+            assert_eq!((idx.live.len(), idx.len()), (1, waiting.len()));
+            while !waiting.is_empty() {
+                check_pop(&mut idx, &mut waiting);
+            }
+            assert!(idx.is_empty() && idx.pop_first_fit(7).is_none());
         }
-        assert!(
-            passes.iter().all(|&n| n > 0) && descents > 0 && compactions > 0 && mid_inserts > 0,
-            "{passes:?} {descents} {compactions} {mid_inserts}"
-        );
-        assert!(deepest > 4 * BLOCK, "deepest inline buffer {deepest}");
     }
 
     #[test]
-    fn failed_pop_on_inline_tier_is_rejected_by_cached_minimum() {
+    fn failed_pop_is_rejected_by_the_smallest_live_allocation() {
         let mut q = IndexedQueue::new();
         q.push(item(0, 5, 0.0));
         q.push(item(1, 3, 0.0));
-        assert_eq!(q.pop_first_fit(2), None);
-        // Removing the minimum-allocation item must refresh the cache.
+        let mut free = 2;
+        let mut out = Vec::new();
+        q.pop_fits_into(&mut free, &mut out);
+        assert!(out.is_empty() && free == 2);
+        assert_eq!(q.scan_steps(), 0, "a blocked decision point reads no head");
         assert_eq!(q.pop_first_fit(3).unwrap().key.1, 1);
         assert_eq!(q.pop_first_fit(4), None);
         assert_eq!(q.pop_first_fit(5).unwrap().key.1, 0);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_decision_point_that_fits_everything_starts_it_in_key_order() {
+        // Three buckets, one of them holding out-of-order keys in its
+        // heap: a budget covering the whole queue starts every task in
+        // key order, reading each live bucket once.
+        let mut q = IndexedQueue::new();
+        for (seq, alloc, primary) in [
+            (0, 4, 3.0),
+            (1, 2, 1.0),
+            (2, 4, 0.5),
+            (3, 1, 2.0),
+            (4, 4, 9.0),
+        ] {
+            q.push(item(seq, alloc, primary));
+        }
+        let mut free = 16;
+        let mut out = Vec::new();
+        q.pop_fits_into(&mut free, &mut out);
+        let order: Vec<u64> = out.iter().map(|it| it.key.1).collect();
+        assert_eq!(order, vec![2, 1, 3, 0, 4]);
+        assert_eq!((free, q.scan_steps()), (1, 3));
+        assert!(q.is_empty() && q.nodes.is_empty());
+        assert_consistent(&q);
     }
 }

@@ -21,6 +21,9 @@ const FIRST_CONN_ID: u64 = 2;
 /// decoded frames (see [`Conn::backlogged`]).
 const MAX_INBOX: usize = 64;
 
+/// Bytes [`read_ready`] takes from a socket per `read` call.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// Per-connection state: the socket, the incremental decoder, the
 /// decoded-but-undispatched events, and the unsent replies.
 struct Conn {
@@ -103,6 +106,9 @@ pub(super) struct EventLoop {
     pending: BTreeMap<u64, Pending>,
     next_conn_id: u64,
     next_token: u64,
+    /// The read buffer every [`read_ready`] call borrows, allocated
+    /// once instead of zero-filled on the stack per readiness event.
+    rbuf: Box<[u8]>,
 }
 
 /// Drain the wake pipe (level-triggered, so stale bytes would spin
@@ -118,21 +124,20 @@ fn drain_wake(wake_rx: &UnixStream) {
 }
 
 /// Read until `WouldBlock` (mandatory under edge-triggering) or
-/// until the connection is backlogged, and queue every decoded
-/// event in the inbox.
-fn read_ready(conn: &mut Conn) {
+/// until the connection is backlogged, through the loop's shared
+/// buffer `buf`, and queue every decoded event in the inbox.
+fn read_ready(conn: &mut Conn, buf: &mut [u8]) {
     if std::mem::take(&mut conn.read_paused) {
         // The frame clock restarts: the pause was ours.
         conn.frame_since = None;
     }
-    let mut buf = [0u8; 64 * 1024];
     let mut decoded = Vec::new();
     loop {
         if conn.backlogged() {
             conn.read_paused = true;
             break;
         }
-        match conn.stream.read(&mut buf) {
+        match conn.stream.read(buf) {
             Ok(0) => {
                 conn.closing = true;
                 break;
@@ -203,6 +208,7 @@ impl EventLoop {
             pending: BTreeMap::new(),
             next_conn_id: FIRST_CONN_ID,
             next_token: 0,
+            rbuf: vec![0; READ_CHUNK].into_boxed_slice(),
         })
     }
 
@@ -289,7 +295,7 @@ impl EventLoop {
             return;
         };
         if mask & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 && !conn.read_paused {
-            read_ready(conn);
+            read_ready(conn, &mut self.rbuf);
         }
         if mask & EPOLLOUT != 0 {
             flush_io(conn);
@@ -307,7 +313,7 @@ impl EventLoop {
                     return;
                 };
                 if conn.read_paused && !conn.backlogged() {
-                    read_ready(conn);
+                    read_ready(conn, &mut self.rbuf);
                 }
                 if conn.busy || conn.dead {
                     return;
