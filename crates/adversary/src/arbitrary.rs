@@ -211,13 +211,6 @@ impl AdaptiveChains {
 }
 
 impl Instance for AdaptiveChains {
-    fn initial(&mut self) -> Vec<TaskId> {
-        #[allow(clippy::cast_possible_truncation)]
-        (0..self.pr.n_chains as u32)
-            .map(|c| self.fresh_task(c))
-            .collect()
-    }
-
     fn on_complete_into(&mut self, task: TaskId, time: f64, out: &mut Vec<TaskId>) {
         let chain = self.owner[task.index()];
         let done = self.completed[chain as usize] + 1;
@@ -249,6 +242,20 @@ impl Instance for AdaptiveChains {
 
     fn size_hint(&self) -> usize {
         usize::try_from(self.pr.n_tasks).unwrap_or(usize::MAX)
+    }
+
+    fn next_arrival(&self) -> Option<f64> {
+        // Every instance has chains, so no task id is issued before
+        // their heads arrive.
+        (self.next_task == 0).then_some(0.0)
+    }
+
+    /// The head of every chain, at time 0.
+    fn arrivals_into(&mut self, _time: f64, out: &mut Vec<TaskId>) {
+        #[allow(clippy::cast_possible_truncation)]
+        for c in 0..self.pr.n_chains as u32 {
+            out.push(self.fresh_task(c));
+        }
     }
 }
 

@@ -57,6 +57,7 @@ struct LegacyInstance<'a> {
     graph: &'a Legacy,
     remaining_preds: Vec<u32>,
     n_completed: usize,
+    started: bool,
 }
 
 impl<'a> LegacyInstance<'a> {
@@ -70,18 +71,25 @@ impl<'a> LegacyInstance<'a> {
             graph,
             remaining_preds,
             n_completed: 0,
+            started: false,
         }
     }
 }
 
 impl Instance for LegacyInstance<'_> {
-    fn initial(&mut self) -> Vec<TaskId> {
+    fn next_arrival(&self) -> Option<f64> {
+        (!self.started).then_some(0.0)
+    }
+
+    fn arrivals_into(&mut self, _time: f64, out: &mut Vec<TaskId>) {
         // The legacy source scan: every task with no predecessors, in
         // id order.
-        (0..self.graph.models.len() as u32)
-            .map(TaskId)
-            .filter(|t| self.graph.preds[t.index()].is_empty())
-            .collect()
+        self.started = true;
+        out.extend(
+            (0..self.graph.models.len() as u32)
+                .map(TaskId)
+                .filter(|t| self.graph.preds[t.index()].is_empty()),
+        );
     }
 
     fn on_complete_into(&mut self, task: TaskId, _time: f64, newly: &mut Vec<TaskId>) {

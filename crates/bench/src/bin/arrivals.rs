@@ -15,7 +15,7 @@ use moldable_model::rng::Rng;
 use moldable_model::rng::StdRng;
 use moldable_model::sample::ParamDistribution;
 use moldable_model::{ModelClass, SpeedupModel};
-use moldable_sim::{simulate_instance, Scheduler, SimOptions, TimedArrivals};
+use moldable_sim::{simulate_instance, Scheduler, SimOptions, WorldInstance};
 
 const P_TOTAL: u32 = 32;
 const N_TASKS: usize = 300;
@@ -44,7 +44,7 @@ fn stream(rho: f64, seed: u64) -> Vec<(f64, SpeedupModel)> {
 }
 
 fn run(rho: f64, seed: u64, sched: &mut dyn Scheduler) -> (f64, f64) {
-    let mut inst = TimedArrivals::new(stream(rho, seed));
+    let mut inst = WorldInstance::from_releases(stream(rho, seed));
     let s = simulate_instance(&mut inst, sched, &SimOptions::new(P_TOTAL))
         .expect("arrival stream schedules");
     s.check_capacity(1e-9).expect("valid");

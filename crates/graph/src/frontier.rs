@@ -17,8 +17,8 @@ pub struct Frontier {
 }
 
 impl Frontier {
-    /// Initialize from a graph. Tasks with no predecessors are
-    /// immediately available via [`Frontier::initial`].
+    /// Initialize from a graph. Tasks with no predecessors (the
+    /// graph's [`TaskGraph::sources`]) are available from the start.
     #[must_use]
     pub fn new<T>(graph: &TaskGraph<T>) -> Self {
         let remaining_preds = graph
@@ -30,14 +30,6 @@ impl Frontier {
             completed: vec![false; graph.n_tasks()],
             n_completed: 0,
         }
-    }
-
-    /// The initially available tasks (the graph's sources), in id order
-    /// — the paper's "at time 0" release. Served from the frozen
-    /// graph's precomputed source list; no scan.
-    #[must_use]
-    pub fn initial<T>(&self, graph: &TaskGraph<T>) -> Vec<TaskId> {
-        graph.sources().to_vec()
     }
 
     /// Record the completion of `task` and append the tasks that become
@@ -133,7 +125,7 @@ mod tests {
         let g = g.freeze();
 
         let mut f = Frontier::new(&g);
-        assert_eq!(f.initial(&g), vec![a]);
+        assert_eq!(g.sources(), [a]);
         assert!(f.is_available(a));
         assert!(!f.is_available(b));
 

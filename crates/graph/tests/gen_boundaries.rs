@@ -180,16 +180,14 @@ fn frozen_generator_graphs_match_a_checked_rebuild() {
 
 #[test]
 fn precomputed_sources_match_the_legacy_scan_on_every_shape() {
-    // `Frontier::initial` is now served from the source list computed
-    // once at freeze; the legacy behaviour was an O(n) empty-preds
-    // scan per run. Equivalence on every generator shape (plus the
-    // degenerate empty graph) keeps the precomputation honest.
+    // A run's time-0 release is the source list computed once at
+    // freeze; the legacy behaviour was an O(n) empty-preds scan per
+    // run. Equivalence on every generator shape (plus the degenerate
+    // empty graph) keeps the precomputation honest.
     for &(shape, size) in FREEZE_SANITY_SIZES {
         let g = gen::by_name(shape, size, ModelClass::Roofline, 32, 5).unwrap();
         let scanned: Vec<_> = g.task_ids().filter(|&t| g.preds(t).is_empty()).collect();
         assert_eq!(g.sources(), scanned, "{shape}/{size}");
-        let f = moldable_graph::Frontier::new(&g);
-        assert_eq!(f.initial(&g), scanned, "{shape}/{size}: Frontier::initial");
     }
     let empty = moldable_graph::TaskGraph::empty();
     assert!(empty.sources().is_empty());

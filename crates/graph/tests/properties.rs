@@ -52,7 +52,7 @@ fn frontier_releases_everything_once() {
         let p = rng.gen_range(0.0f64..0.4);
         let g = random_graph(seed, n, p);
         let mut f = Frontier::new(&g);
-        let mut available: Vec<_> = f.initial(&g);
+        let mut available = g.sources().to_vec();
         let mut completed = 0usize;
         let mut released = available.len();
         // complete in "stack" order (depth-first-ish, different from

@@ -105,6 +105,8 @@ pub struct FaultyInstance<'a> {
     next_id: u32,
     /// Optional cap on attempts per task (`None` = retry forever).
     max_attempts: Option<u32>,
+    /// The sources' first attempts have arrived (at time 0).
+    started: bool,
 }
 
 impl<'a> FaultyInstance<'a> {
@@ -143,6 +145,7 @@ impl<'a> FaultyInstance<'a> {
             n_succeeded: 0,
             next_id: 0,
             max_attempts: None,
+            started: false,
         }
     }
 
@@ -211,13 +214,17 @@ impl<'a> FaultyInstance<'a> {
 }
 
 impl Instance for FaultyInstance<'_> {
-    fn initial(&mut self) -> Vec<TaskId> {
-        self.graph
-            .sources()
-            .to_vec()
-            .into_iter()
-            .map(|t| self.attempt_for(t))
-            .collect()
+    fn next_arrival(&self) -> Option<f64> {
+        (!self.started).then_some(0.0)
+    }
+
+    /// A first attempt of every source, at time 0.
+    fn arrivals_into(&mut self, _time: f64, out: &mut Vec<TaskId>) {
+        self.started = true;
+        let graph = self.graph;
+        for &t in graph.sources() {
+            out.push(self.attempt_for(t));
+        }
     }
 
     fn on_complete_into(&mut self, attempt: TaskId, _time: f64, out: &mut Vec<TaskId>) {

@@ -1,12 +1,14 @@
 //! Generative fuzzing for the hand-rolled JSON codec and the frame
 //! protocol.
 //!
-//! Two properties, both seeded so failures replay exactly:
+//! Three properties, all seeded so failures replay exactly:
 //!
 //! * arbitrary PRNG-generated documents round-trip through
 //!   `encode` → `parse` bit-for-bit;
 //! * random and mutated byte frames pushed through the framing codec
-//!   and the request parser produce `Err`, never a panic.
+//!   and the request parser produce `Err`, never a panic;
+//! * the event loop's batch splitter (`proto::split_batch_items`)
+//!   agrees with the full request parser on every frame both accept.
 
 use std::io::Cursor;
 
@@ -192,4 +194,72 @@ fn adversarial_documents_error_cleanly() {
         let e = json::parse(bad).unwrap_err();
         assert!(e.at <= bad.len(), "{bad:?}: offset {} out of range", e.at);
     }
+}
+
+/// Apply 1..=4 random mutations to `frame`: flip a byte, truncate, or
+/// insert one of the bytes that steer the splitter's scan.
+fn mutate(rng: &mut StdRng, frame: &mut Vec<u8>) {
+    const STRUCTURAL: &[u8] = b"[]{}\"\\,";
+    for _ in 0..rng.gen_range(1u32..=4) {
+        match rng.gen_range(0u32..3) {
+            0 if !frame.is_empty() => {
+                let at = rng.gen_range(0..frame.len());
+                frame[at] ^= u8::try_from(rng.gen_range(1u64..=255)).expect("mask fits u8");
+            }
+            1 => frame.truncate(rng.gen_range(0..=frame.len())),
+            _ => {
+                let at = rng.gen_range(0..=frame.len());
+                frame.insert(at, STRUCTURAL[rng.gen_range(0..STRUCTURAL.len())]);
+            }
+        }
+    }
+}
+
+#[test]
+fn batch_splitter_agrees_with_the_full_parse() {
+    let mut rng = StdRng::seed_from_u64(0x5B17);
+    let mut both_accepted = 0u32;
+    for case in 0..50_000 {
+        let n = rng.gen_range(0usize..5);
+        let items: Vec<Vec<u8>> = (0..n)
+            .map(|_| arbitrary_json(&mut rng, 3).encode().into_bytes())
+            .collect();
+        let canonical = Request::Batch(items.clone()).encode();
+        assert_eq!(
+            proto::split_batch_items(&canonical).as_ref(),
+            Some(&items),
+            "case {case}: canonical frame did not split item for item"
+        );
+
+        let mut frame = canonical;
+        mutate(&mut rng, &mut frame);
+        // Must never panic, whatever the bytes.
+        let split = proto::split_batch_items(&frame);
+        let (Some(split), Ok(Request::Batch(parsed))) = (split, Request::parse(&frame)) else {
+            continue;
+        };
+        both_accepted += 1;
+        let text = String::from_utf8_lossy(&frame);
+        assert_eq!(
+            split.len(),
+            parsed.len(),
+            "case {case}: item count of {text}"
+        );
+        for (raw, full) in split.iter().zip(&parsed) {
+            let item = std::str::from_utf8(raw).expect("split at ASCII bytes of UTF-8");
+            let reencoded = json::parse(item)
+                .unwrap_or_else(|e| panic!("case {case}: split item {item:?} of {text}: {e}"))
+                .encode();
+            assert_eq!(
+                reencoded.as_bytes(),
+                &full[..],
+                "case {case}: item of {text}"
+            );
+        }
+    }
+    // The mutations keep enough frames valid to exercise the comparison.
+    assert!(
+        both_accepted > 400,
+        "only {both_accepted} frames accepted by both"
+    );
 }

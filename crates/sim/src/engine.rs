@@ -94,16 +94,17 @@ pub trait Scheduler<P: Platform = u32> {
 /// adversaries (the paper's Section 5) implement this directly and may
 /// decide the remaining structure *after* observing completions.
 ///
-/// Release methods return bare [`TaskId`]s; the engine looks up the
-/// speedup function through [`Instance::model`] whenever it needs one.
-/// This keeps model *ownership* with the instance — the engine never
-/// clones a `SpeedupModel` per task, which used to dominate release
-/// cost on large instances (a clone bumps an `Arc` for table/formula
-/// models and copies parameter structs for closed-form ones, per task).
+/// Tasks are released through two hooks: [`Instance::arrivals_into`]
+/// at the times [`Instance::next_arrival`] announces (time 0 for a
+/// graph's sources, release dates for timed arrivals) and
+/// [`Instance::on_complete_into`] at each completion. Both append bare
+/// [`TaskId`]s; the engine looks up the speedup function through
+/// [`Instance::model`] whenever it needs one. This keeps model
+/// *ownership* with the instance — the engine never clones a
+/// `SpeedupModel` per task, which used to dominate release cost on
+/// large instances (a clone bumps an `Arc` for table/formula models and
+/// copies parameter structs for closed-form ones, per task).
 pub trait Instance<P: Platform = u32> {
-    /// Tasks available at time 0, in release order.
-    fn initial(&mut self) -> Vec<TaskId>;
-
     /// `task` completed at simulated time `time`; append the tasks that
     /// become available as a result to `out`, in release order.
     /// Adaptive adversaries may use `time` to record their decision
@@ -125,21 +126,20 @@ pub trait Instance<P: Platform = u32> {
         0
     }
 
-    /// Next time at which tasks arrive *independently of completions*
-    /// (release dates, the online-independent-tasks model of Ye et
-    /// al.). `None` (the default) means all future releases are
-    /// triggered by completions.
-    fn next_arrival(&self) -> Option<f64> {
-        None
-    }
+    /// Next time at which tasks arrive *independently of completions*:
+    /// `Some(0.0)` while tasks available from the start (a graph's
+    /// sources) are still to be released, then release dates (the
+    /// online-independent-tasks model of Ye et al.). `None` means all
+    /// future releases are triggered by completions.
+    fn next_arrival(&self) -> Option<f64>;
 
-    /// Tasks arriving at exactly `time` (the engine calls this when the
-    /// clock reaches the time previously returned by
-    /// [`Instance::next_arrival`]).
-    fn arrivals(&mut self, time: f64) -> Vec<TaskId> {
-        let _ = time;
-        Vec::new()
-    }
+    /// Append the tasks arriving at `time` to `out`, in release order.
+    /// The engine calls this when the clock reaches the time
+    /// [`Instance::next_arrival`] announced, and again while that
+    /// still returns a time `<= time`. It reuses one scratch buffer,
+    /// as for [`Instance::on_complete_into`]; implementations must only
+    /// append.
+    fn arrivals_into(&mut self, time: f64, out: &mut Vec<TaskId>);
 }
 
 /// Forwards every method, so a borrowed scheduler (`&mut dyn
@@ -161,10 +161,6 @@ impl<P: Platform, T: Scheduler<P> + ?Sized> Scheduler<P> for &mut T {
 /// Forwards every method, so a borrowed instance keeps its own size
 /// hint and timed arrivals.
 impl<P: Platform, T: Instance<P> + ?Sized> Instance<P> for &mut T {
-    fn initial(&mut self) -> Vec<TaskId> {
-        (**self).initial()
-    }
-
     fn on_complete_into(&mut self, task: TaskId, time: f64, out: &mut Vec<TaskId>) {
         (**self).on_complete_into(task, time, out);
     }
@@ -185,8 +181,8 @@ impl<P: Platform, T: Instance<P> + ?Sized> Instance<P> for &mut T {
         (**self).next_arrival()
     }
 
-    fn arrivals(&mut self, time: f64) -> Vec<TaskId> {
-        (**self).arrivals(time)
+    fn arrivals_into(&mut self, time: f64, out: &mut Vec<TaskId>) {
+        (**self).arrivals_into(time, out);
     }
 }
 
@@ -197,6 +193,8 @@ impl<P: Platform, T: Instance<P> + ?Sized> Instance<P> for &mut T {
 pub struct GraphInstance<'a, T = SpeedupModel> {
     graph: &'a TaskGraph<T>,
     frontier: Frontier,
+    /// The sources have arrived (at time 0).
+    started: bool,
 }
 
 impl<'a, T> GraphInstance<'a, T> {
@@ -206,15 +204,12 @@ impl<'a, T> GraphInstance<'a, T> {
         Self {
             graph,
             frontier: Frontier::new(graph),
+            started: false,
         }
     }
 }
 
 impl<T, P: Platform<Task = T>> Instance<P> for GraphInstance<'_, T> {
-    fn initial(&mut self) -> Vec<TaskId> {
-        self.frontier.initial(self.graph)
-    }
-
     fn on_complete_into(&mut self, task: TaskId, _time: f64, out: &mut Vec<TaskId>) {
         self.frontier.complete_into(self.graph, task, out);
     }
@@ -229,6 +224,16 @@ impl<T, P: Platform<Task = T>> Instance<P> for GraphInstance<'_, T> {
 
     fn size_hint(&self) -> usize {
         self.graph.n_tasks()
+    }
+
+    fn next_arrival(&self) -> Option<f64> {
+        (!self.started).then_some(0.0)
+    }
+
+    /// The sources, in id order: the paper's release at time 0.
+    fn arrivals_into(&mut self, _time: f64, out: &mut Vec<TaskId>) {
+        self.started = true;
+        out.extend_from_slice(self.graph.sources());
     }
 }
 

@@ -13,12 +13,17 @@
 //! processors free up. The engine never leaks unrevealed structure.
 //! Each engine callback is one method that appends to a buffer the
 //! engine owns and reuses: [`Scheduler::select_into`] at a decision
-//! point and [`Instance::on_complete_into`] at a completion.
+//! point, [`Instance::arrivals_into`] at an arrival instant (a graph's
+//! sources arrive at time 0) and [`Instance::on_complete_into`] at a
+//! completion.
 //!
 //! For adaptive lower bounds (the paper's Section 5 adversary decides
 //! the graph *in response to* the algorithm's behaviour), the engine
 //! also runs against the more general [`Instance`] trait, of which a
-//! [`moldable_graph::TaskGraph`] is the static special case.
+//! [`moldable_graph::TaskGraph`] is the static special case. Work with
+//! release dates is one instance, [`WorldInstance`]: DAGs that arrive
+//! over time, of which Ye et al.'s independent tasks with release
+//! dates are the one-task case.
 //!
 //! There is one engine, [`Stepper`]: [`simulate`] and
 //! [`simulate_instance`] run it to quiescence, and long-lived services
@@ -63,7 +68,6 @@
 
 #![forbid(unsafe_code)]
 
-mod arrivals;
 mod engine;
 mod gantt;
 mod procmap;
@@ -73,8 +77,8 @@ mod stepper;
 mod svg;
 mod trace;
 mod validate;
+mod world;
 
-pub use arrivals::TimedArrivals;
 /// Alias of [`simulate`], kept only because the repository benchmark
 /// (`benchmark/`) calls it by this name.
 pub use engine::simulate as simulate_batched;
@@ -87,3 +91,4 @@ pub use profile::{interval_profile, IntervalProfile};
 pub use schedule::{Placement, Schedule, ScheduleBuilder};
 pub use stepper::{LaneSchedule, Stepper};
 pub use validate::ValidationError;
+pub use world::{DagIdx, IdSpaceExhausted, WorldInstance};

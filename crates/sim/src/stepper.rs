@@ -162,10 +162,10 @@ impl<I: Instance, S: Scheduler> Stepper<I, S> {
 
 impl<P: Platform, I: Instance<P>, S: Scheduler<P>> Stepper<I, S, P> {
     /// Wrap `instance` and `scheduler` for incremental simulation on
-    /// `platform`, every lane idle. Calls `scheduler.init`; the initial
-    /// frontier is released lazily on the first advance, so arrivals
-    /// registered before the first [`Stepper::advance_until`] are
-    /// seen exactly as if they had been there from the start.
+    /// `platform`, every lane idle. Calls `scheduler.init`; the tasks
+    /// arriving at time 0 are released lazily on the first advance, so
+    /// arrivals registered before the first [`Stepper::advance_until`]
+    /// are seen exactly as if they had been there from the start.
     pub fn with_platform(instance: I, mut scheduler: S, platform: P) -> Self {
         scheduler.init(platform);
         let hint = instance.size_hint();
@@ -381,7 +381,9 @@ impl<P: Platform, I: Instance<P>, S: Scheduler<P>> Stepper<I, S, P> {
                         if a > time {
                             break;
                         }
-                        for t in instance.arrivals(a) {
+                        newly.clear();
+                        instance.arrivals_into(a, newly);
+                        for &t in newly.iter() {
                             release!(t, a);
                         }
                     }
@@ -456,11 +458,10 @@ impl<P: Platform, I: Instance<P>, S: Scheduler<P>> Stepper<I, S, P> {
                 };
             }
 
+            // The decision point at time 0 runs even when nothing
+            // arrives then, so an instance that never releases is caught.
             if !*primed {
                 *primed = true;
-                for t in instance.initial() {
-                    release!(t, 0.0);
-                }
                 drain_arrivals!();
                 decide!();
             }
@@ -548,7 +549,7 @@ impl<I, S, P: Platform> std::fmt::Debug for Stepper<I, S, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate_instance, GraphInstance, TimedArrivals};
+    use crate::{simulate_instance, GraphInstance, WorldInstance};
     use moldable_graph::{gen, TaskGraph};
     use moldable_model::{ModelClass, SpeedupModel};
 
@@ -710,7 +711,7 @@ mod tests {
             .map(|i| (f64::from(i % 7) * 0.5, unit(1.0 + f64::from(i % 3))))
             .collect();
         let got = Stepper::new(
-            TimedArrivals::new(releases),
+            WorldInstance::from_releases(releases),
             Fifo::new(1),
             &SimOptions::new(4),
         )
@@ -726,13 +727,14 @@ mod tests {
         /// Claims outstanding work but never releases any.
         struct Hollow;
         impl Instance for Hollow {
-            fn initial(&mut self) -> Vec<TaskId> {
-                Vec::new()
-            }
             fn on_complete_into(&mut self, _task: TaskId, _time: f64, _out: &mut Vec<TaskId>) {}
             fn is_done(&self) -> bool {
                 false
             }
+            fn next_arrival(&self) -> Option<f64> {
+                None
+            }
+            fn arrivals_into(&mut self, _time: f64, _out: &mut Vec<TaskId>) {}
             fn model(&self, _task: TaskId) -> &SpeedupModel {
                 unreachable!("no task is ever released")
             }
@@ -763,15 +765,20 @@ mod tests {
 
     #[test]
     fn work_fed_between_advances_is_scheduled() {
-        // An initially empty arrivals stream is quiescent, not an
-        // error; work appended later (at or after `now`) runs.
+        // An initially empty world is quiescent, not an error; work
+        // submitted later (at or after `now`) runs.
         let opts = SimOptions::new(2);
-        let mut st = Stepper::new(TimedArrivals::new(Vec::new()), Fifo::new(1), &opts);
+        let mut st = Stepper::new(WorldInstance::new(), Fifo::new(1), &opts);
         let mut done = Vec::new();
         st.advance_until(10.0, &mut done).unwrap();
         assert!(done.is_empty());
         assert!(st.is_idle());
-        *st.instance_mut() = TimedArrivals::new(vec![(3.0, unit(2.0)), (3.0, unit(1.0))]);
+        for w in [2.0, 1.0] {
+            let mut task = moldable_graph::GraphBuilder::new();
+            task.add_task(unit(w));
+            let task = std::sync::Arc::new(task.freeze());
+            st.instance_mut().submit(task, 3.0).unwrap();
+        }
         st.advance_until(3.5, &mut done).unwrap();
         assert!(done.is_empty(), "both still running at 3.5");
         st.advance_until(10.0, &mut done).unwrap();

@@ -1,19 +1,22 @@
 //! Arrival-order tie-breaks pinned bit-identically across instances.
 //!
-//! A batch of tasks sharing one release instant can be expressed two
-//! ways: as a [`TimedArrivals`] stream and as an independent-tasks
-//! graph. Both must place every task with bit-equal `(start, end,
-//! procs, released)` — the revelation order for simultaneous arrivals
-//! (submission order) and the completion tie-break (start sequence)
-//! are part of the engine contract, not an accident of
-//! implementation. The incremental [`Stepper`] joins as a third
+//! A batch of tasks sharing one release instant can be expressed
+//! several ways: as one-task DAGs submitted to a [`WorldInstance`], as
+//! an independent-tasks graph, and as that graph submitted to the
+//! world as one DAG. All must place every task with bit-equal `(start,
+//! end, procs, released)` — the revelation order for simultaneous
+//! arrivals (submission order) and the completion tie-break (start
+//! sequence) are part of the engine contract, not an accident of
+//! implementation. The incremental [`Stepper`] joins as another
 //! expression of the same run, and the run's fingerprint is pinned to
 //! the value a since-deleted batched engine also produced.
+
+use std::sync::Arc;
 
 use moldable_graph::{GraphBuilder, TaskId};
 use moldable_model::SpeedupModel;
 use moldable_sim::{
-    simulate, simulate_instance, Placement, Scheduler, SimOptions, Stepper, TimedArrivals,
+    simulate, simulate_instance, Placement, Scheduler, SimOptions, Stepper, WorldInstance,
 };
 
 fn unit(w: f64) -> SpeedupModel {
@@ -88,10 +91,10 @@ fn arrival_tie_breaks_agree_across_arrivals_graph_and_stepper() {
     let works = tie_heavy_works(n);
     let opts = SimOptions::new(p);
 
-    // 1) TimedArrivals: all release dates equal (t = 0).
+    // 1) One-task DAGs: all release dates equal (t = 0).
     let releases: Vec<(f64, SpeedupModel)> = works.iter().map(|&w| (0.0, unit(w))).collect();
     let via_arrivals = simulate_instance(
-        &mut TimedArrivals::new(releases.clone()),
+        &mut WorldInstance::from_releases(releases.clone()),
         &mut Fifo::default(),
         &opts,
     )
@@ -102,17 +105,35 @@ fn arrival_tie_breaks_agree_across_arrivals_graph_and_stepper() {
     for &w in &works {
         b.add_task(unit(w));
     }
-    let graph = b.freeze();
+    let graph = Arc::new(b.freeze());
     let via_graph = simulate(&graph, &mut Fifo::default(), &opts).unwrap();
 
-    // 3) TimedArrivals again, incremental stepper.
-    let via_stepper = Stepper::new(TimedArrivals::new(releases), Fifo::default(), &opts)
-        .finish()
-        .unwrap();
+    // 3) One-task DAGs again, incremental stepper.
+    let via_stepper = Stepper::new(
+        WorldInstance::from_releases(releases),
+        Fifo::default(),
+        &opts,
+    )
+    .finish()
+    .unwrap();
+
+    // 4) The graph as one DAG of the world: its 64 sources release in
+    // the order of 64 one-task DAGs.
+    let mut world = WorldInstance::new();
+    world.submit(graph, 0.0).unwrap();
+    let via_world_dag = simulate_instance(&mut world, &mut Fifo::default(), &opts).unwrap();
 
     let reference = fingerprint(&via_arrivals.placements);
     assert_eq!(fingerprint(&via_graph.placements), reference, "graph");
     assert_eq!(fingerprint(&via_stepper.placements), reference, "stepper");
+    assert_eq!(
+        (
+            fnv1a(&via_world_dag.placements),
+            via_world_dag.makespan.to_bits()
+        ),
+        TIE_HEAVY_PIN,
+        "one DAG of the world"
+    );
     assert_eq!(
         (
             fnv1a(&via_arrivals.placements),
@@ -140,12 +161,16 @@ fn staggered_zero_gap_bursts_agree_between_engine_and_stepper() {
     }
     let opts = SimOptions::new(3);
     let reference = simulate_instance(
-        &mut TimedArrivals::new(releases.clone()),
+        &mut WorldInstance::from_releases(releases.clone()),
         &mut Fifo::default(),
         &opts,
     )
     .unwrap();
-    let mut stepper = Stepper::new(TimedArrivals::new(releases), Fifo::default(), &opts);
+    let mut stepper = Stepper::new(
+        WorldInstance::from_releases(releases),
+        Fifo::default(),
+        &opts,
+    );
     let mut done = Vec::new();
     // Advance in awkward slices that straddle the burst instants.
     for horizon in [0.4, 0.5, 0.6, 1.9, 2.0, f64::INFINITY] {

@@ -125,7 +125,7 @@ fn recorded_proc_ids_match_capacity() {
 /// Release-date streams: every task starts at or after its release.
 #[test]
 fn timed_arrivals_respect_release_dates() {
-    use moldable_sim::{simulate_instance, TimedArrivals};
+    use moldable_sim::{simulate_instance, DagIdx, WorldInstance};
     for case in 0u64..96 {
         let mut crng = StdRng::seed_from_u64(0xA221 ^ case);
         let seed = crng.next_u64();
@@ -138,8 +138,11 @@ fn timed_arrivals_respect_release_dates() {
                 (r, SpeedupModel::amdahl(w, 0.1).unwrap())
             })
             .collect();
-        let mut inst = TimedArrivals::new(releases);
-        let dates: Vec<f64> = (0..n).map(|i| inst.release_date(i)).collect();
+        let mut inst = WorldInstance::from_releases(releases);
+        // One-task DAGs: DAG `i` holds task `i`.
+        let dates: Vec<f64> = (0..n as u32)
+            .map(|i| inst.dag_release_date(DagIdx(i)))
+            .collect();
         let mut sched = ChaoticScheduler::new(seed ^ 3);
         let s = simulate_instance(&mut inst, &mut sched, &SimOptions::new(4)).unwrap();
         assert_eq!(s.placements.len(), n);

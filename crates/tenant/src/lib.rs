@@ -9,10 +9,10 @@
 //! completions incrementally while every session's work contends on
 //! the same simulated platform.
 //!
-//! Three layers, bottom up:
+//! Two layers, over the simulator's arrivals instance
+//! [`moldable_sim::WorldInstance`] (a growing multi-DAG instance with
+//! deterministic arrival order):
 //!
-//! * [`WorldInstance`] — a growing multi-DAG
-//!   [`moldable_sim::Instance`] with deterministic arrival order.
 //! * [`DrrScheduler`] — deficit-round-robin fairness across sessions,
 //!   work-conserving, allocating per task with Algorithm 1.
 //! * [`TenantService`] — session lifecycle (open/submit/poll/close,
@@ -28,11 +28,9 @@
 
 mod drr;
 mod service;
-mod world;
 
 pub use drr::DrrScheduler;
 pub use service::{
     CloseReply, EventKind, Ledger, OpenReply, PollReply, ServiceSummary, SessionEvent,
     SessionState, SubmitReply, TenantConfig, TenantError, TenantQuotas, TenantService,
 };
-pub use world::{DagIdx, IdSpaceExhausted, WorldInstance};

@@ -3,9 +3,10 @@
 //! [`TenantService`] is the front door of the session layer: clients
 //! open named sessions under a tenant, stream DAG submissions with
 //! release dates, poll for incremental completions, and close. All
-//! sessions share one simulated platform — a [`Stepper`] over a
-//! [`WorldInstance`] scheduled by [`DrrScheduler`] — so tenants
-//! genuinely contend for the same `P` processors.
+//! sessions share one simulated platform — a [`Stepper`] over the
+//! simulator's arrivals instance [`WorldInstance`], scheduled by
+//! [`DrrScheduler`] — so tenants genuinely contend for the same `P`
+//! processors.
 //!
 //! # Conservative time synchronization
 //!
@@ -50,10 +51,9 @@ use std::sync::Arc;
 
 use moldable_core::AlgoName;
 use moldable_graph::TaskGraph;
-use moldable_sim::{SimError, SimOptions, Stepper};
+use moldable_sim::{DagIdx, IdSpaceExhausted, SimError, SimOptions, Stepper, WorldInstance};
 
 use crate::drr::DrrScheduler;
-use crate::world::{DagIdx, IdSpaceExhausted, WorldInstance};
 
 /// Per-tenant admission limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
