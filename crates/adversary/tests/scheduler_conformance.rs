@@ -49,31 +49,10 @@ const BOUNDED: [ModelClass; 4] = [
     ModelClass::General,
 ];
 
-/// FNV-1a-64 over each placement's task, start/end/released bits and
-/// processor count, little-endian in placement order, then the
-/// makespan bits.
-fn fingerprint(s: &Schedule) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    };
-    for pl in &s.placements {
-        eat(&pl.task.0.to_le_bytes());
-        eat(&pl.start.to_bits().to_le_bytes());
-        eat(&pl.end.to_bits().to_le_bytes());
-        eat(&pl.released.to_bits().to_le_bytes());
-        eat(&pl.procs.to_le_bytes());
-    }
-    eat(&s.makespan.to_bits().to_le_bytes());
-    h
-}
-
 /// Assert `s` hashes to `pin`; on a mismatch, print the whole schedule
 /// so the first diverging placement can be read off.
 fn assert_pinned(s: &Schedule, pin: u64, ctx: &str) {
-    let got = fingerprint(s);
+    let got = s.fingerprint();
     if got != pin {
         let rows: Vec<String> = s
             .placements

@@ -21,10 +21,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 
-use moldable_core::{baselines, OnlineScheduler, QueuePolicy};
 use moldable_graph::{gen, parse_workflow, TaskGraph};
 use moldable_model::ModelClass;
-use moldable_sim::{gantt_ascii, simulate, SimOptions};
+use moldable_serve::{SchedulerChoice, WorkerContext};
+use moldable_sim::{gantt_ascii, SimOptions};
 
 /// CLI failure, printed to stderr with exit code 2.
 #[derive(Debug)]
@@ -72,7 +72,8 @@ SHAPES:      chain, independent, fork-join, in-tree, out-tree, layered,
 CLASSES:     roofline, communication, amdahl, general  (default: amdahl)
 SCHEDULERS:  online (paper's Algorithm 1+2, default), one-proc, max-proc,
              ect, equal-share, backfill (EASY), adaptive (mu discovered
-             online), cpa (offline)
+             online), cpa (offline); --algo and --policy apply to online
+             only, --mu to online and backfill
 ALGOS:       icpp22 (default, ICPP'22 Algorithm 2), improved23 (the
              Perotin–Sun dual allocation; online scheduler only)
 POLICIES:    fifo (default), lpt, spt, narrow-first, wide-first
@@ -260,10 +261,6 @@ fn cmd_bounds(opts: &Opts) -> Result<String, CliError> {
     ))
 }
 
-fn make_policy(name: &str) -> Result<QueuePolicy, CliError> {
-    QueuePolicy::by_name(name).ok_or_else(|| err(format!("unknown policy `{name}` (see --help)")))
-}
-
 fn cmd_schedule(opts: &Opts) -> Result<String, CliError> {
     opts.known(&[
         "graph",
@@ -280,25 +277,14 @@ fn cmd_schedule(opts: &Opts) -> Result<String, CliError> {
     let (g, hint) = load_graph(opts)?;
     let p = platform(opts, hint)?;
     let name = opts.get("scheduler").unwrap_or("online");
-    let class = g.model_class().unwrap_or(ModelClass::General);
-    let algo = moldable_core::registry::by_name(opts.get("algo").unwrap_or("icpp22"))
-        .map_err(|e| err(format!("{e} (see --help)")))?;
-    let mu = opts.parse_num::<f64>("mu")?;
-    let policy = match opts.get("policy") {
-        Some(p) => Some(make_policy(p)?),
-        None => None,
-    };
-    if mu.is_some() && name != "online" && name != "backfill" {
-        return Err(err("--mu only applies to the online scheduler"));
-    }
-    if algo != moldable_core::AlgoName::Icpp22 && name != "online" {
-        return Err(err(format!(
-            "--algo {algo} only applies to the online scheduler, not `{name}`"
-        )));
-    }
-    if policy.is_some() && name != "online" {
-        return Err(err("--policy only applies to the online scheduler"));
-    }
+    let choice = SchedulerChoice::parse(
+        name,
+        opts.get("algo").unwrap_or("icpp22"),
+        opts.parse_num::<f64>("mu")?,
+        opts.get("policy"),
+        g.model_class().unwrap_or(ModelClass::General),
+    )
+    .map_err(|e| err(format!("{e} (see --help)")))?;
 
     let want_visuals =
         opts.get("gantt").is_some() || opts.get("trace").is_some() || opts.get("svg").is_some();
@@ -307,46 +293,13 @@ fn cmd_schedule(opts: &Opts) -> Result<String, CliError> {
     } else {
         SimOptions::new(p)
     };
-
-    let schedule = match name {
-        "online" => {
-            let mut s = match mu {
-                Some(m) => OnlineScheduler::with_algo(algo, m),
-                None => OnlineScheduler::for_algo_class(algo, class),
-            };
-            if let Some(pol) = policy {
-                s = s.with_policy(pol);
-            }
-            simulate(&g, &mut s, &sim_opts)
-        }
-        "one-proc" => simulate(&g, &mut baselines::one_proc(), &sim_opts),
-        "max-proc" => simulate(&g, &mut baselines::max_proc(), &sim_opts),
-        "ect" => simulate(&g, &mut baselines::EctScheduler::new(), &sim_opts),
-        "equal-share" => simulate(&g, &mut baselines::EqualShareScheduler::new(), &sim_opts),
-        "backfill" => {
-            let m = mu.unwrap_or_else(|| class.optimal_mu());
-            simulate(
-                &g,
-                &mut moldable_core::EasyBackfillScheduler::new(m),
-                &sim_opts,
-            )
-        }
-        "adaptive" => simulate(&g, &mut moldable_core::AdaptiveScheduler::new(), &sim_opts),
-        "cpa" => {
-            let allocs = moldable_offline::cpa_allocations(&g, p);
-            let mut s = moldable_offline::cpa::FixedAllocScheduler::new(allocs);
-            simulate(&g, &mut s, &sim_opts)
-        }
-        other => return Err(err(format!("unknown scheduler `{other}` (see --help)"))),
-    }
-    .map_err(|e| err(format!("simulation failed: {e}")))?;
-    schedule
-        .validate(&g)
-        .map_err(|e| err(format!("produced invalid schedule: {e}")))?;
+    let schedule = WorkerContext::new()
+        .schedule(&choice, &g, &sim_opts)
+        .map_err(err)?;
 
     let b = g.bounds(p);
     let mut out = String::new();
-    if name == "online" {
+    if let Some(algo) = choice.algo() {
         out.push_str(&format!("algo: {algo}\n"));
     }
     out.push_str(&format!(
@@ -482,10 +435,8 @@ fn cmd_serve(opts: &Opts) -> Result<String, CliError> {
         config.tenant.p_total = p;
     }
     if let Some(mu) = opts.parse_num::<f64>("session-mu")? {
-        if !(mu > 0.0 && mu < 1.0) {
-            return Err(err("--session-mu must lie strictly between 0 and 1"));
-        }
-        config.tenant.mu = mu;
+        config.tenant.mu =
+            moldable_model::check_mu(mu).map_err(|e| err(format!("--session-mu: {e}")))?;
     }
     if let Some(n) = opts.parse_num::<u32>("session-max-sessions")? {
         config.tenant.quotas.max_sessions = n;
@@ -769,6 +720,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moldable_serve::json::Json;
 
     fn run_args(args: &[&str]) -> Result<String, CliError> {
         let v: Vec<String> = args.iter().map(ToString::to_string).collect();
@@ -785,6 +737,23 @@ mod tests {
     fn help_and_empty_print_usage() {
         assert!(run_args(&[]).unwrap().contains("USAGE"));
         assert!(run_args(&["--help"]).unwrap().contains("SCHEDULERS"));
+    }
+
+    #[test]
+    fn usage_lists_every_scheduler_of_the_table() {
+        let start = USAGE.find("SCHEDULERS:").unwrap() + "SCHEDULERS:".len();
+        let end = start + USAGE[start..].find(';').unwrap();
+        let mut depth = 0;
+        let names: String = USAGE[start..end]
+            .chars()
+            .filter(|&c| {
+                depth += i32::from(c == '(') - i32::from(c == ')');
+                depth == 0 && c != ')'
+            })
+            .collect();
+        let listed: Vec<&str> = names.split(',').map(str::trim).collect();
+        let table: Vec<&str> = moldable_serve::scheduler_names().collect();
+        assert_eq!(listed, table);
     }
 
     #[test]
@@ -968,8 +937,13 @@ mod tests {
         assert!(e.to_string().contains("--max-events"));
         let e = run_args(&["serve", "--session-p", "0"]).unwrap_err();
         assert!(e.to_string().contains("--session-p"));
-        let e = run_args(&["serve", "--session-mu", "1.5"]).unwrap_err();
-        assert!(e.to_string().contains("--session-mu"));
+        for mu in ["1.5", "0.6"] {
+            // 0.6 used to pass this check and panic when the daemon
+            // built its allocation cache.
+            let e = run_args(&["serve", "--session-mu", mu]).unwrap_err();
+            assert!(e.to_string().contains("--session-mu"), "{e}");
+            assert!(e.to_string().contains("mu must lie"), "{e}");
+        }
     }
 
     #[test]
@@ -1117,16 +1091,7 @@ mod tests {
             "generate", "--shape", "lu", "--size", "3", "-P", "8", "--out", &file,
         ])
         .unwrap();
-        for s in [
-            "online",
-            "one-proc",
-            "max-proc",
-            "ect",
-            "equal-share",
-            "backfill",
-            "adaptive",
-            "cpa",
-        ] {
+        for s in moldable_serve::scheduler_names() {
             let out = run_args(&["schedule", "--graph", &file, "--scheduler", s]).unwrap();
             assert!(out.contains("makespan:"), "{s}: {out}");
         }
@@ -1217,19 +1182,79 @@ mod tests {
         ])
         .unwrap();
         assert!(out.contains("makespan"));
-        let e = run_args(&[
-            "schedule",
-            "--graph",
+        let misuse: [(&[&str], &str); 8] = [
+            (
+                &["--scheduler", "ect", "--mu", "0.3"],
+                "`mu` only applies to",
+            ),
+            (
+                &["--scheduler", "ect", "--policy", "lpt"],
+                "`policy` only applies to the `online` scheduler",
+            ),
+            (
+                &["--scheduler", "cpa", "--policy", "nonsense"],
+                "`policy` only applies to the `online` scheduler",
+            ),
+            // These panicked in the scheduler constructors.
+            (&["--mu", "0.9"], "mu must lie"),
+            (&["--mu", "0"], "mu must lie"),
+            (&["--mu", "-1"], "mu must lie"),
+            (&["--mu", "nan"], "mu must lie"),
+            (&["--scheduler", "backfill", "--mu", "0.9"], "mu must lie"),
+        ];
+        for (extra, needle) in misuse {
+            let mut args = vec!["schedule", "--graph", &file];
+            args.extend_from_slice(extra);
+            let e = run_args(&args).unwrap_err();
+            assert!(e.to_string().contains(needle), "{extra:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn schedule_makespans_equal_the_wire_replies_bit_for_bit() {
+        use moldable_serve::proto::{GraphSpec, SubmitRequest};
+        let file = tmp("parity.mtg");
+        let _ = run_args(&[
+            "generate", "--shape", "cholesky", "--size", "4", "-P", "12", "--seed", "3", "--out",
             &file,
-            "--scheduler",
-            "ect",
-            "--mu",
-            "0.3",
         ])
-        .unwrap_err();
-        assert!(e
-            .to_string()
-            .contains("only applies to the online scheduler"));
+        .unwrap();
+        let mtg = fs::read_to_string(&file).unwrap();
+        let csv = tmp("parity.csv");
+        let mut ctx = WorkerContext::new();
+        for s in moldable_serve::scheduler_names() {
+            let out = run_args(&[
+                "schedule",
+                "--graph",
+                &file,
+                "--scheduler",
+                s,
+                "--csv",
+                &csv,
+            ])
+            .unwrap();
+            // Shortest round-trip floats: the latest end is the makespan.
+            let cli = fs::read_to_string(&csv)
+                .unwrap()
+                .lines()
+                .skip(1)
+                .map(|row| row.split(',').nth(2).unwrap().parse::<f64>().unwrap())
+                .fold(0.0, f64::max);
+            let reply = ctx.handle(&SubmitRequest {
+                graph: GraphSpec::Inline(mtg.clone()),
+                p: None,
+                model: "amdahl".into(),
+                seed: 0,
+                scheduler: s.into(),
+                algo: "icpp22".into(),
+                mu: None,
+                policy: None,
+                include_allocations: false,
+            });
+            let wire = reply.get("makespan").and_then(Json::as_f64).unwrap();
+            assert_eq!(cli.to_bits(), wire.to_bits(), "{s}: {out}");
+            assert!(out.contains(&format!("makespan: {wire:.6}")), "{s}: {out}");
+        }
     }
 
     #[test]
@@ -1265,7 +1290,7 @@ mod tests {
         .unwrap_err();
         assert!(
             e.to_string()
-                .contains("only applies to the online scheduler"),
+                .contains("`algo` = `improved23` only applies to the `online` scheduler"),
             "{e}"
         );
     }

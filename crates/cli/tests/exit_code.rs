@@ -45,3 +45,23 @@ fn generate_pipeline_exits_zero() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.starts_with("p 4\n"), "{stdout}");
 }
+
+#[test]
+fn inadmissible_mu_exits_two_before_any_work() {
+    let graph = std::env::temp_dir().join(format!("moldable-exit-code-{}.mtg", std::process::id()));
+    std::fs::write(&graph, "p 4\ntask 0 amdahl(w=4, d=1)\n").unwrap();
+    let graph = graph.to_string_lossy().into_owned();
+    // Both used to pass the CLI and panic (exit 101): in the scheduler
+    // constructor, and in the daemon's start-up before it bound.
+    for args in [
+        &["schedule", "--graph", &graph, "--mu", "0.9"][..],
+        &["serve", "--port", "0", "--session-mu", "0.6"][..],
+    ] {
+        let out = moldable(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("mu must lie"), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_file(&graph);
+}

@@ -50,12 +50,13 @@ pub fn mu_cap(p_total: u32, mu: f64) -> u32 {
     cap.max(1)
 }
 
-/// The admissible-μ check shared by every entry point.
-fn assert_mu(mu: f64) {
-    assert!(
-        mu > 0.0 && mu <= moldable_model::MU_MAX + 1e-12,
-        "mu must lie in (0, (3-sqrt(5))/2], got {mu}"
-    );
+/// Panic unless `mu` is admissible ([`moldable_model::check_mu`]): the
+/// check shared by every entry point and by the schedulers.
+#[inline]
+pub(crate) fn assert_mu(mu: f64) {
+    if let Err(e) = moldable_model::check_mu(mu) {
+        panic!("{e}");
+    }
 }
 
 /// Algorithm 2: allocate processors for one task on a `P = p_total`
@@ -174,7 +175,7 @@ fn bisect_smallest(model: &SpeedupModel, mut lo: u32, mut hi: u32, threshold: f6
 /// Same contract as [`allocate`].
 #[must_use]
 pub fn allocate_linear_reference(model: &SpeedupModel, p_total: u32, mu: f64) -> Allocation {
-    assert!(mu > 0.0 && mu <= moldable_model::MU_MAX + 1e-12);
+    assert_mu(mu);
     assert!(p_total >= 1);
     let p_max = model.p_max(p_total);
     let threshold = delta(mu) * model.time(p_max) * (1.0 + BETA_RTOL);
@@ -289,7 +290,7 @@ pub fn allocate_improved_linear_reference(
     mu: f64,
     lambda: f64,
 ) -> Allocation {
-    assert!(mu > 0.0 && mu <= moldable_model::MU_MAX + 1e-12);
+    assert_mu(mu);
     assert!(lambda >= 1.0, "the area budget needs lambda >= 1");
     assert!(p_total >= 1);
     let p_max = model.p_max(p_total);

@@ -49,10 +49,7 @@ impl EasyBackfillScheduler {
     /// Panics if `mu` is outside `(0, (3−√5)/2]`.
     #[must_use]
     pub fn new(mu: f64) -> Self {
-        assert!(
-            mu > 0.0 && mu <= moldable_model::MU_MAX + 1e-12,
-            "mu must lie in (0, (3-sqrt(5))/2]"
-        );
+        crate::allocator::assert_mu(mu);
         Self {
             mu,
             p_total: 0,

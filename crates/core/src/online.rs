@@ -99,10 +99,7 @@ impl OnlineScheduler {
     /// Panics if `mu` is outside the admissible range.
     #[must_use]
     pub fn with_algo(algo: AlgoName, mu: f64) -> Self {
-        assert!(
-            mu > 0.0 && mu <= moldable_model::MU_MAX + 1e-12,
-            "mu must lie in (0, (3-sqrt(5))/2], got {mu}"
-        );
+        crate::allocator::assert_mu(mu);
         Self {
             algo,
             mu,
@@ -310,28 +307,6 @@ mod tests {
         }
     }
 
-    /// FNV-1a-64 over each placement's task, start/end/released bits
-    /// and processor count, then the makespan bits (the fingerprint of
-    /// `moldable-sim`'s `online_schedule_pins.rs`, without processor
-    /// ids).
-    fn fingerprint(s: &moldable_sim::Schedule) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-            }
-        };
-        for pl in &s.placements {
-            eat(&pl.task.0.to_le_bytes());
-            eat(&pl.start.to_bits().to_le_bytes());
-            eat(&pl.end.to_bits().to_le_bytes());
-            eat(&pl.released.to_bits().to_le_bytes());
-            eat(&pl.procs.to_le_bytes());
-        }
-        eat(&s.makespan.to_bits().to_le_bytes());
-        h
-    }
-
     #[test]
     fn layered_schedule_is_pinned() {
         // Pinned while the sorted-`Vec` reference queue still existed
@@ -344,7 +319,7 @@ mod tests {
         let mut fast = OnlineScheduler::with_mu(0.3);
         let a = simulate(&g, &mut fast, &SimOptions::new(24)).unwrap();
         a.validate(&g).unwrap();
-        assert_eq!(fingerprint(&a), 0xe6b2_c41d_9a75_f753);
+        assert_eq!(a.fingerprint(), 0xe6b2_c41d_9a75_f753);
     }
 
     #[test]

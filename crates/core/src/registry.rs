@@ -195,7 +195,7 @@ mod tests {
             ] {
                 let mu = algo.optimal_mu(class);
                 assert!(
-                    mu > 0.0 && mu <= moldable_model::MU_MAX + 1e-12,
+                    moldable_model::check_mu(mu).is_ok(),
                     "{algo}/{class}: mu={mu}"
                 );
                 assert!(algo.lambda(class) >= 1.0, "{algo}/{class}");

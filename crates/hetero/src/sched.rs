@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use moldable_core::allocate;
 use moldable_graph::TaskId;
-use moldable_model::MU_MAX;
+use moldable_model::check_mu;
 use moldable_sim::Scheduler;
 
 use crate::{HeteroPlatform, HeteroTask, Pool};
@@ -42,9 +42,8 @@ impl MuHetero {
     /// Panics if `mu ∉ (0, (3−√5)/2]`.
     #[must_use]
     pub fn new(mu: f64) -> Self {
-        assert!(mu > 0.0 && mu <= MU_MAX + 1e-12);
         Self {
-            mu,
+            mu: check_mu(mu).unwrap_or_else(|e| panic!("{e}")),
             max_stretch: 2.0,
             platform: HeteroPlatform { cpus: 1, gpus: 1 },
             queue: VecDeque::new(),

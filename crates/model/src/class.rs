@@ -149,7 +149,7 @@ mod tests {
     fn optimal_mu_within_admissible_range() {
         for class in ModelClass::bounded_classes() {
             let mu = class.optimal_mu();
-            assert!(mu > 0.0 && mu <= crate::MU_MAX + 1e-12, "{class}: mu={mu}");
+            assert!(crate::check_mu(mu).is_ok(), "{class}: mu={mu}");
         }
     }
 

@@ -54,6 +54,26 @@ pub use speedup::SpeedupModel;
 /// `μ ≤ (3 − √5)/2 ≈ 0.381966` (Section 4.2).
 pub const MU_MAX: f64 = 0.38196601125010515; // (3 - sqrt(5)) / 2
 
+/// Check that `mu` is admissible for Algorithm 2, `μ ∈ (0, (3−√5)/2]`
+/// (Section 4.2), allowing `1e-12` above [`MU_MAX`] for a rounded
+/// closed form. The one place this range is written: the schedulers'
+/// asserts and the request validation of the CLI and the daemon all
+/// call it.
+///
+/// # Errors
+///
+/// A message naming the range and the rejected value, for `NaN` too.
+#[inline] // Algorithm 2 checks μ on every allocation.
+pub fn check_mu(mu: f64) -> Result<f64, String> {
+    if mu > 0.0 && mu <= MU_MAX + 1e-12 {
+        Ok(mu)
+    } else {
+        Err(format!(
+            "mu must lie in (0, (3-sqrt(5))/2] = (0, {MU_MAX:.6}], got {mu}"
+        ))
+    }
+}
+
 /// The constraint threshold `δ(μ) = (1 − 2μ) / (μ (1 − μ))` that bounds
 /// the time stretch `β` in Step 1 of Algorithm 2.
 ///
@@ -76,6 +96,17 @@ mod tests {
     fn mu_max_matches_closed_form() {
         let expected = (3.0 - 5.0_f64.sqrt()) / 2.0;
         assert!((MU_MAX - expected).abs() < 1e-15);
+    }
+
+    #[test]
+    fn check_mu_accepts_the_admissible_range_only() {
+        for mu in [1e-9, 0.2, MU_MAX, MU_MAX + 1e-13] {
+            assert_eq!(check_mu(mu), Ok(mu));
+        }
+        for mu in [0.0, -1.0, MU_MAX + 1e-9, 0.6, f64::NAN, f64::INFINITY] {
+            let e = check_mu(mu).unwrap_err();
+            assert!(e.starts_with("mu must lie in (0, (3-sqrt(5))/2]"), "{e}");
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! * [`json`] — hand-rolled JSON encode/parse (no external deps):
 //!   [`moldable_graph::json`], shared with trace import;
 //! * [`service`] — the request→schedule executor with per-worker
-//!   [`AllocCache`](moldable_core::AllocCache) reuse;
+//!   [`AllocCache`](moldable_core::AllocCache) reuse, the scheduler
+//!   table ([`SchedulerChoice`]) the CLI shares, and the one guarded
+//!   graph builder of `submit` and `submit_dag`;
 //! * [`server`] — the daemon: a non-blocking `epoll(7)` event loop
 //!   with per-connection backpressure and a frame deadline, per-worker
 //!   request shards with spill-over and work-stealing, explicit
@@ -82,6 +84,6 @@ pub use proto::{
     SubmitRequest,
 };
 pub use server::{install_drain_signals, FaultHooks, Server, ServerConfig};
-pub use service::{EngineChoice, ServiceLimits, WorkerContext};
+pub use service::{scheduler_names, EngineChoice, SchedulerChoice, ServiceLimits, WorkerContext};
 pub use sessions::SessionHub;
 pub use stats::{Accounting, ServerStats};

@@ -767,7 +767,7 @@ impl SessionLoadReport {
             ("wall_secs", Json::Num(self.wall.as_secs_f64())),
             (
                 "event_log_sha",
-                Json::Str(format!("{:016x}", fnv1a(self.event_log.as_bytes()))),
+                Json::Str(format!("{:016x}", event_log_fingerprint(&self.event_log))),
             ),
             (
                 "per_tenant",
@@ -801,7 +801,7 @@ impl SessionLoadReport {
             self.events,
             worst,
             self.ledgers_balanced,
-            fnv1a(self.event_log.as_bytes()),
+            event_log_fingerprint(&self.event_log),
         )
     }
 }
@@ -820,11 +820,14 @@ fn sorted_quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
-/// FNV-1a over the event log: a stable fingerprint for the bench
-/// artifact without embedding the whole log.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over an event log: a stable fingerprint for the bench
+/// artifact without embedding the whole log. Its multiplier is
+/// `0x1_0000_01b3`, not the FNV-64 prime of `moldable_sim::fnv1a`, so
+/// it is a hash of its own: CI and the tests pin its values.
+#[must_use]
+pub fn event_log_fingerprint(log: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for &b in log.as_bytes() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x1_0000_01b3);
     }
@@ -1330,7 +1333,7 @@ mod tests {
         // The fingerprint is a pure function of the log bytes.
         assert_eq!(
             j.get("event_log_sha").unwrap().as_str().unwrap(),
-            format!("{:016x}", fnv1a(report.event_log.as_bytes()))
+            format!("{:016x}", event_log_fingerprint(&report.event_log))
         );
         assert!(report.summary().contains("ledgers balanced: true"));
     }

@@ -496,9 +496,11 @@ pub struct SubmitRequest {
     /// Algorithm registry name for the online scheduler (default
     /// `icpp22`; see `moldable_core::registry::by_name`).
     pub algo: String,
-    /// Explicit μ for the online scheduler.
+    /// Explicit μ ∈ (0, (3−√5)/2] for the `online` and `backfill`
+    /// schedulers; an error on the others or outside that range.
     pub mu: Option<f64>,
-    /// Queue policy name for the online scheduler.
+    /// Queue policy name for the `online` scheduler; an error on the
+    /// others.
     pub policy: Option<String>,
     /// Return per-task placements in the reply.
     pub include_allocations: bool,

@@ -15,19 +15,17 @@
 //! exactly one of `session_dags_admitted`,
 //! `session_dags_rejected_quota`, or `session_dags_errors`.
 
-use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use moldable_graph::{gen, parse_workflow, TaskGraph, TraceFormat};
 use moldable_tenant::{EventKind, Ledger, PollReply, TenantConfig, TenantError, TenantService};
 
 use crate::json::{obj, write_num, Json};
 use crate::proto::{
-    error_reply, quota_reply, CloseSessionRequest, GraphSpec, OpenSessionRequest, PollRequest,
+    error_reply, quota_reply, CloseSessionRequest, OpenSessionRequest, PollRequest,
     SubmitDagRequest,
 };
-use crate::service::{build_trace_graph, parse_model_class, ServiceLimits};
+use crate::service::{build_graph, ServiceLimits};
 use crate::stats::ServerStats;
 
 /// The shared session layer of one server.
@@ -95,15 +93,15 @@ impl SessionHub {
     /// is taken, so a malformed request never blocks other sessions.
     pub fn submit_dag(&self, req: &SubmitDagRequest, stats: &ServerStats) -> Vec<u8> {
         ServerStats::bump(&stats.session_dags_submitted);
-        let algo = match moldable_core::registry::by_name(&req.algo) {
-            Ok(a) => a,
-            Err(msg) => {
-                ServerStats::bump(&stats.session_dags_errors);
-                return error_reply(&msg);
-            }
-        };
-        let graph = match self.build_dag(req) {
-            Ok(g) => g,
+        // Session DAGs run on the shared platform, so `p` is the hub's
+        // `p_total` throughout.
+        let checked = moldable_core::registry::by_name(&req.algo).and_then(|algo| {
+            let p = Some(self.p_total);
+            let built = build_graph(&req.graph, &req.model, req.seed, p, &self.limits, None)?;
+            Ok((algo, built.graph))
+        });
+        let (algo, graph) = match checked {
+            Ok(checked) => checked,
             Err(msg) => {
                 ServerStats::bump(&stats.session_dags_errors);
                 return error_reply(&msg);
@@ -209,52 +207,6 @@ impl SessionHub {
             ("sessions_reaped", Json::Num(s.sessions_reaped as f64)),
             ("ledgers", Json::Obj(ledgers.into_iter().collect())),
         ])
-    }
-
-    /// Build the graph of a `submit_dag` request under the service
-    /// guards, without holding the session lock. Session DAGs run on
-    /// the shared platform, so `p` is the hub's `p_total` throughout.
-    fn build_dag(&self, req: &SubmitDagRequest) -> Result<Arc<TaskGraph>, String> {
-        let limits = self.limits;
-        let graph = match &req.graph {
-            GraphSpec::Inline(mtg) => {
-                let (g, _hint) = parse_workflow(mtg).map_err(|e| format!("bad mtg: {e}"))?;
-                g
-            }
-            GraphSpec::Named { shape, size } => {
-                if *size > limits.max_shape_size {
-                    return Err(format!(
-                        "size {size} exceeds the limit {}",
-                        limits.max_shape_size
-                    ));
-                }
-                let est = gen::estimated_tasks(shape, *size)?;
-                if est > limits.max_tasks as u128 {
-                    return Err(format!(
-                        "`{shape}` of size {size} would have {est} tasks, more than the limit {}",
-                        limits.max_tasks
-                    ));
-                }
-                let class = parse_model_class(&req.model)?;
-                gen::by_name(shape, *size, class, self.p_total, req.seed)?
-            }
-            GraphSpec::TraceDot(text) | GraphSpec::TraceJson(text) => {
-                let class = parse_model_class(&req.model)?;
-                let format = match &req.graph {
-                    GraphSpec::TraceDot(_) => TraceFormat::Dot,
-                    _ => TraceFormat::Json,
-                };
-                build_trace_graph(text, format, class, self.p_total, req.seed, &limits)?
-            }
-        };
-        if graph.n_tasks() > limits.max_tasks {
-            return Err(format!(
-                "graph has {} tasks, more than the limit {}",
-                graph.n_tasks(),
-                limits.max_tasks
-            ));
-        }
-        Ok(Arc::new(graph))
     }
 }
 
@@ -465,26 +417,44 @@ mod tests {
             .contains("unknown session"));
 
         open(&hub, &stats, "acme", "s1");
-        let payload = hub.submit_dag(
-            &SubmitDagRequest {
-                session: "s1".into(),
-                at: 0.0,
-                graph: GraphSpec::Named {
+        // An inline workflow with an unknown `model` is refused here as
+        // it is on a one-shot `submit`: one builder serves both.
+        let cases = [
+            (
+                GraphSpec::Named {
                     shape: "hexagon".into(),
                     size: 3,
                 },
-                model: "amdahl".into(),
-                seed: 7,
-                algo: "icpp22".into(),
-            },
-            &stats,
-        );
-        let r = crate::json::parse(std::str::from_utf8(&payload).unwrap()).unwrap();
-        assert_eq!(r.get("status").unwrap().as_str(), Some("error"));
+                "amdahl",
+                "unknown shape",
+            ),
+            (
+                GraphSpec::Inline("task 0 amdahl(w=1)\n".into()),
+                "bogus",
+                "unknown model class",
+            ),
+        ];
+        for (graph, model, needle) in cases {
+            let payload = hub.submit_dag(
+                &SubmitDagRequest {
+                    session: "s1".into(),
+                    at: 0.0,
+                    graph,
+                    model: model.into(),
+                    seed: 7,
+                    algo: "icpp22".into(),
+                },
+                &stats,
+            );
+            let r = crate::json::parse(std::str::from_utf8(&payload).unwrap()).unwrap();
+            assert_eq!(r.get("status").unwrap().as_str(), Some("error"), "{r:?}");
+            let msg = r.get("error").unwrap().as_str().unwrap();
+            assert!(msg.contains(needle), "`{msg}` missing `{needle}`");
+        }
         use std::sync::atomic::Ordering;
-        assert_eq!(stats.session_dags_errors.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.session_dags_errors.load(Ordering::Relaxed), 2);
         // submitted == admitted + rejected + errors.
-        assert_eq!(stats.session_dags_submitted.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.session_dags_submitted.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -309,14 +309,6 @@ fn session_event_log_fingerprints_are_pinned_per_algorithm() {
     // event-log format moves these constants — and the two algorithms
     // must NOT collide, or the `algo` field isn't reaching the
     // per-DAG allocation path at all.
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1_0000_01b3);
-        }
-        h
-    }
     let run = |algo: &str| {
         let server = ephemeral(ServerConfig::default());
         let config = SessionLoadConfig {
@@ -339,7 +331,7 @@ fn session_event_log_fingerprints_are_pinned_per_algorithm() {
         let report = run(algo);
         assert!(report.ledgers_balanced, "{algo}: {:?}", report.ledgers);
         assert_eq!(report.dags_ok, 4, "{algo}");
-        fingerprints.push((algo, fnv1a(report.event_log.as_bytes())));
+        fingerprints.push((algo, loadgen::event_log_fingerprint(&report.event_log)));
     }
     assert_eq!(
         fingerprints,

@@ -16,6 +16,7 @@ use moldable_serve::json::Json;
 use moldable_serve::proto::{self, GraphSpec, Request, SubmitRequest};
 use moldable_serve::server::{Server, ServerConfig};
 use moldable_serve::{Accounting, WorkerContext};
+use moldable_sim::fnv1a;
 
 /// Every script runs once per worker count; the transcripts must agree.
 const WORKER_COUNTS: [usize; 2] = [1, 4];
@@ -65,13 +66,6 @@ fn read_reply(stream: &mut TcpStream) -> String {
     }
 }
 
-/// FNV-1a-64 over `bytes`.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
 /// Run `script` once per worker count, assert the transcripts are
 /// byte-identical, and assert their fingerprint (FNV-1a-64 over the
 /// replies joined by newlines) equals `pin`.
@@ -97,7 +91,7 @@ fn assert_pinned(
         "1 and {} workers disagree on the same wire script",
         WORKER_COUNTS[1]
     );
-    let got = fnv1a(transcripts[0].join("\n").into_bytes());
+    let got = fnv1a(transcripts[0].join("\n").as_bytes());
     assert_eq!(
         got, pin,
         "transcript fingerprint {got:#018x} != pinned {pin:#018x}; transcript:\n{:#?}",
@@ -335,7 +329,11 @@ fn batched_and_unbatched_makespans_are_bit_equal_to_a_bare_worker_context() {
             r.get("makespan").and_then(Json::as_f64).expect("makespan")
         })
         .collect();
-    let pin = fnv1a(expected.iter().flat_map(|m| m.to_bits().to_le_bytes()));
+    let bits: Vec<u8> = expected
+        .iter()
+        .flat_map(|m| m.to_bits().to_le_bytes())
+        .collect();
+    let pin = fnv1a(&bits);
     assert_eq!(
         pin, 0xcc0c_2e71_de36_16db,
         "bare WorkerContext makespans moved: {expected:?}"

@@ -88,7 +88,7 @@ pub use engine::{
 pub use gantt::gantt_ascii;
 pub use procmap::ProcPool;
 pub use profile::{interval_profile, IntervalProfile};
-pub use schedule::{Placement, Schedule, ScheduleBuilder};
+pub use schedule::{fnv1a, Placement, Schedule, ScheduleBuilder};
 pub use stepper::{LaneSchedule, Stepper};
 pub use validate::ValidationError;
 pub use world::{DagIdx, IdSpaceExhausted, WorldInstance};

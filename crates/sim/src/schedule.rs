@@ -196,6 +196,44 @@ impl Schedule {
         }
         out
     }
+
+    /// FNV-1a-64 ([`fnv1a`]) over each placement's task, start, end and
+    /// released bits, processor count and processor ranges (none unless
+    /// ids were recorded), little-endian in placement order, then the
+    /// makespan bits: the value schedule pins record.
+    #[must_use]
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = FNV_OFFSET;
+        let mut eat = |bytes: &[u8]| h = fnv1a_from(h, bytes);
+        for (i, pl) in self.placements.iter().enumerate() {
+            eat(&pl.task.0.to_le_bytes());
+            eat(&pl.start.to_bits().to_le_bytes());
+            eat(&pl.end.to_bits().to_le_bytes());
+            eat(&pl.released.to_bits().to_le_bytes());
+            eat(&pl.procs.to_le_bytes());
+            for &(lo, hi) in self.proc_ranges(i) {
+                eat(&lo.to_le_bytes());
+                eat(&hi.to_le_bytes());
+            }
+        }
+        eat(&self.makespan.to_bits().to_le_bytes());
+        h
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a_from(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// FNV-1a-64 of a byte stream: the hash of [`Schedule::fingerprint`],
+/// event-log fingerprints and reply pins.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_from(FNV_OFFSET, bytes)
 }
 
 /// Incremental construction of hand-written schedules.

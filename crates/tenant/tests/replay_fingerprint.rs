@@ -17,20 +17,10 @@ use std::sync::Arc;
 use moldable_core::AlgoName;
 use moldable_graph::{gen, TaskGraph};
 use moldable_model::{ModelClass, SpeedupModel};
+use moldable_sim::fnv1a;
 use moldable_tenant::{EventKind, TenantConfig, TenantService};
 
 const ALGO: AlgoName = AlgoName::Icpp22;
-
-/// FNV-1a over bytes — same construction the session loadgen uses for
-/// its event-log fingerprint.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn workload_graph(which: u32) -> Arc<TaskGraph> {
     let mut assign = |ctx: gen::TaskCtx<'_>| {
